@@ -17,6 +17,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .errors import InvalidConfig
 from .fourier import CoefficientTable, coefficients, partial_sum_sweep
 from .kernels import (
     KernelContext,
@@ -170,6 +171,9 @@ def boundedness_values(system: SystemHandle, x_grid: Sequence[float],
     One kernel context is built per ``n`` and shared across the grid, so
     the antiderivative tables are computed once per index.
     """
+    if n_max < 2:
+        raise InvalidConfig(
+            f"n_max: boundedness sweeps need n_max >= 2, got {n_max}")
     xs = list(x_grid)
     out = np.empty((len(xs), n_max - 1))
 

@@ -29,5 +29,5 @@ class UnknownFunction(OnsLabError):
     """Function name not present in the catalog."""
 
 
-class InvalidConfig(OnsLabError):
+class InvalidConfig(OnsLabError, ValueError):
     """Experiment configuration failed validation."""

@@ -14,8 +14,10 @@ experiments target.
 
 A :class:`KernelContext` pins ``(system, n, rule)`` and caches the
 antiderivative tables shared by every evaluation point, so sweeps over
-``x`` reuse one mesh.  Contexts are read-only after construction apart
-from idempotent caches guarded by a lock; evaluations are pure.
+``x`` reuse one table.  The quadrature rule is built on first use, so
+closed-form paths never construct it.  Contexts are read-only after
+construction apart from idempotent caches guarded by a lock; evaluations
+are pure.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ class KernelContext:
         Number of leading elements entering the kernels (n >= 1).
     rule : QuadratureRule, optional
         Quadrature configuration; defaults to the system's recommended
-        rule for indices up to ``n``.
+        rule for indices up to ``n``, built when first needed.
     """
 
     def __init__(self, system: SystemHandle, n: int,
@@ -58,11 +60,19 @@ class KernelContext:
             raise ValueError("n must be >= 1")
         self.system = system
         self.n = int(n)
-        self.rule = rule if rule is not None else recommended_rule(system, n)
-        self._lock = threading.Lock()
+        self._rule = rule
+        self._lock = threading.RLock()
         self._mesh = None            # (nodes, weights, cell_starts)
         self._g_rows: dict[int, np.ndarray] = {}
         self._prefix_table = None    # antideriv2 at i/n, shape (n, n)
+
+    @property
+    def rule(self) -> QuadratureRule:
+        """Quadrature rule for indices up to ``n``, built on first access."""
+        with self._lock:
+            if self._rule is None:
+                self._rule = recommended_rule(self.system, self.n)
+            return self._rule
 
     # -- antiderivative evaluation -------------------------------------
 
@@ -169,6 +179,7 @@ def kernel_prefix_integral(ctx: KernelContext, t: float, x: float) -> float:
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
+    _check_x(x)
     if t == 0.0:
         return 0.0
     if ctx.system.antideriv2 is not None:
@@ -188,17 +199,33 @@ def boundedness_functional(ctx: KernelContext, x: float) -> float:
     """
     if ctx.n < 2:
         raise ValueError("boundedness functional needs n >= 2")
+    _check_x(x)
     prefixes = _prefix_values(ctx, x)
     return float(np.abs(prefixes[:ctx.n - 1]).sum() / ctx.n)
 
 
+def _check_x(x: float) -> None:
+    if not 0.0 <= x <= 1.0:             # also rejects NaN
+        raise ValueError("x must lie in [0, 1]")
+
+
 def _prefix_values(ctx: KernelContext, x: float) -> np.ndarray:
-    """Prefix integrals at i/n for i = 1..n."""
+    """Prefix integrals at i/n for i = 1..n.
+
+    With a closed-form second antiderivative, a ``phi(x)`` with zeros (a
+    Haar vector has at most log2(n) + 2 nonzero entries) takes only the
+    rows of its nonzero entries; a full-support one uses the shared table.
+    """
     phi_x = system_values(ctx.system, ctx.n, x)
+    live = np.flatnonzero(phi_x)
     if ctx.system.antideriv2 is not None:
-        return ctx.prefix_table().T @ phi_x
+        if len(live) == ctx.n:
+            return ctx.prefix_table().T @ phi_x
+        ts = np.arange(1, ctx.n + 1) / ctx.n
+        rows = np.asarray(ctx.system.antideriv2(live[:, None] + 1, ts[None, :]),
+                          dtype=float)
+        return phi_x[live] @ rows
     nodes, weights, starts = ctx._cell_mesh()
-    live = np.nonzero(phi_x)[0]
     q_vals = np.zeros(len(nodes))
     for idx in live:
         q_vals += phi_x[idx] * ctx._mesh_g_row(int(idx) + 1)
@@ -215,6 +242,7 @@ def boundedness_functional_naive(ctx: KernelContext, x: float) -> float:
     """
     if ctx.n < 2:
         raise ValueError("boundedness functional needs n >= 2")
+    _check_x(x)
     total = 0.0
     for i in range(1, ctx.n):
         res = integrate(lambda u: antiderivative_kernel(ctx, u, x),

@@ -190,6 +190,21 @@ def _haar_antideriv_core(k, u):
     return out
 
 
+def _haar_antideriv2_core(k, u):
+    # the tent g_m integrates to a quadratic on [a, c] and on [c, b], then
+    # stays at the tent's area amp * half^2
+    out = 0.5 * u * u
+    rest = k != 1
+    if np.any(rest):
+        m, uu = k[rest], u[rest]
+        a, b, c, amp = _haar_params(m)
+        v = np.clip(uu, a, b)
+        half = (b - a) / 2.0
+        out[rest] = amp * np.where(v < c, 0.5 * (v - a) ** 2,
+                                   half * half - 0.5 * (b - v) ** 2)
+    return out
+
+
 def _haar_breakpoints(k: int) -> tuple:
     if k == 1:
         return ()
@@ -206,6 +221,7 @@ def haar_system() -> SystemHandle:
         breakpoints=_haar_breakpoints,
         smooth=False,
         piecewise_constant=True,
+        antideriv2=_vectorize_ku(_haar_antideriv2_core),
         panels_hint=lambda k: 2,
     )
 
@@ -228,6 +244,17 @@ def _rademacher_antideriv_core(k, u):
     period = np.ldexp(1.0, 1 - k)
     y = np.mod(u, period)
     return period / 2.0 - np.abs(y - period / 2.0)
+
+
+def _rademacher_antideriv2_core(k, u):
+    # each full period of the triangle wave adds its area p^2/4; within a
+    # period it integrates to y^2/2 up to p/2 and to p^2/4 - (p-y)^2/2 after
+    period = np.ldexp(1.0, 1 - k)
+    whole = np.floor(np.ldexp(u, k - 1))
+    y = np.mod(u, period)
+    within = np.where(y < period / 2.0, 0.5 * y * y,
+                      0.25 * period * period - 0.5 * (period - y) ** 2)
+    return whole * (0.25 * period * period) + within
 
 
 def _rademacher_breakpoints(k: int) -> tuple:
@@ -258,6 +285,7 @@ def rademacher_system() -> SystemHandle:
         breakpoints=_rademacher_breakpoints,
         smooth=False,
         piecewise_constant=True,
+        antideriv2=_vectorize_ku(_rademacher_antideriv2_core),
         period=lambda k: Fraction(1, 1 << (int(k) - 1)),
         breakpoints_in=_rademacher_breakpoints_in,
         panels_hint=lambda k: 2,

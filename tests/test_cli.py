@@ -50,6 +50,15 @@ class TestExitCodes:
         assert code == 1
         assert "x_points" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command",
+                             ["mn-sweep", "theorem2", "theorem5", "theorem6"])
+    def test_sweep_needs_two_terms(self, command, tmp_path, capsys):
+        code, _ = run_cli([command, "--n-max", "1"], tmp_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "n_max" in err
+        assert "Traceback" not in err
+
 
 class TestOutputFormats:
     def test_csv_header_and_roundtrip(self, tmp_path):
@@ -238,6 +247,16 @@ class TestCommands:
         assert code == 0
         payload = json.loads(path.read_text())
         assert payload["summary"]["system"] == "haar"
+
+    @pytest.mark.parametrize("system", ["rademacher", "reflect(rademacher)"])
+    def test_rademacher_sweep_past_sixteen(self, system, tmp_path):
+        # element 17 has 2^17 - 1 jumps: too many to enumerate as a rule
+        code, path = run_cli(["mn-sweep", "--system", system, "--n-max", "24",
+                              "--x", "0,0.3,1"], tmp_path)
+        assert code == 0
+        lines = path.read_text().splitlines()
+        assert len(lines) == 1 + 3 * 23
+        assert lines[-1].startswith("1,24,")
 
 
 class TestConfigObject:

@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CATALOG, riemann_midpoint
 from ons_lab import (
@@ -21,6 +24,7 @@ from ons_lab import (
     haar_system,
     kernel_prefix_integral,
     partial_sum,
+    recommended_rule,
     system_values,
 )
 
@@ -176,19 +180,23 @@ class TestDirichletMeanIdentity:
                 assert abs(lhs - rhs) < 1e-8
 
 
+def _stripped_cosine() -> SystemHandle:
+    """The cosine system without closed-form antiderivatives."""
+    base = cosine_system()
+    return SystemHandle(
+        name="cosine-stripped",
+        eval=base.eval,
+        antideriv=None,
+        breakpoints=base.breakpoints,
+        smooth=True,
+        panels_hint=base.panels_hint,
+    )
+
+
 class TestNumericAntiderivativeFallback:
     def test_stripped_system_matches_closed_form(self):
-        base = cosine_system()
-        stripped = SystemHandle(
-            name="cosine-stripped",
-            eval=base.eval,
-            antideriv=None,
-            breakpoints=base.breakpoints,
-            smooth=True,
-            panels_hint=base.panels_hint,
-        )
-        ctx_num = KernelContext(stripped, 5)
-        ctx_ref = KernelContext(base, 5)
+        ctx_num = KernelContext(_stripped_cosine(), 5)
+        ctx_ref = KernelContext(cosine_system(), 5)
         us = np.linspace(0.0, 1.0, 17)
         for x in (0.2, 0.8):
             got = antiderivative_kernel(ctx_num, us, x)
@@ -198,13 +206,59 @@ class TestNumericAntiderivativeFallback:
                    - boundedness_functional(ctx_ref, 0.3)) < 1e-9
 
     def test_cached_rows_match_recomputation(self):
-        ctx = KernelContext(haar_system(), 8)
+        ctx = KernelContext(_stripped_cosine(), 8)
         boundedness_functional(ctx, 0.3)        # populate the mesh cache
         nodes, _, _ = ctx._cell_mesh()
         for k in (1, 2, 5):
             row = ctx._mesh_g_row(k)
-            again = np.asarray(haar_system().antideriv(k, nodes), dtype=float)
+            again = np.asarray(cosine_system().antideriv(k, nodes), dtype=float)
             assert np.abs(row - again).max() < 1e-9
+
+    def test_closed_form_context_builds_no_rule_or_mesh(self):
+        ctx = KernelContext(haar_system(), 64)
+        for x in (0.0, 0.3, 1.0):
+            boundedness_functional(ctx, x)
+        assert ctx._rule is None
+        assert ctx._mesh is None and not ctx._g_rows
+        assert ctx.rule.breakpoints            # still available on demand
+
+
+def _sweep_points():
+    """0, 1, dyadic breakpoints and interior points of [0, 1]."""
+    dyadic = st.builds(lambda j, e: j / 2 ** e, st.integers(0, 64),
+                       st.integers(0, 6)).filter(lambda x: x <= 1.0)
+    return st.one_of(st.sampled_from([0.0, 1.0]), dyadic,
+                     st.floats(0.0, 1.0))
+
+
+class TestSparsePrefixRows:
+    """Closed-form paths against the per-prefix quadrature oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(["haar", "reflect(haar)", "reflect2(haar)"]),
+           n=st.integers(2, 48), x=_sweep_points())
+    def test_haar_family_matches_naive(self, name, n, x):
+        ctx = KernelContext(get_system(name), n)
+        assert abs(boundedness_functional(ctx, x)
+                   - boundedness_functional_naive(ctx, x)) < 1e-12
+
+    @settings(max_examples=15, deadline=None)
+    @given(n=st.integers(2, 16), x=_sweep_points())
+    def test_rademacher_matches_naive(self, n, x):
+        # the kernel antiderivative is linear between the 2^n - 1 jumps, so
+        # two Gauss nodes per panel keep the oracle exact and affordable
+        sys_ = get_system("rademacher")
+        ctx = KernelContext(sys_, n, replace(recommended_rule(sys_, n), order=2))
+        assert abs(boundedness_functional(ctx, x)
+                   - boundedness_functional_naive(ctx, x)) < 1e-12
+
+    @pytest.mark.parametrize("x", [float("nan"), float("inf"), -0.25, 1.5])
+    def test_rejects_x_outside_unit_interval(self, x):
+        ctx = KernelContext(haar_system(), 8)
+        for fn in (boundedness_functional, boundedness_functional_naive,
+                   lambda c, x: kernel_prefix_integral(c, 0.5, x)):
+            with pytest.raises(ValueError, match=r"x must lie in \[0, 1\]"):
+                fn(ctx, x)
 
 
 def test_compensated_scalar_matches_fsum():

@@ -1,5 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CATALOG, gram_tolerance
 from ons_lab import (
@@ -119,15 +123,64 @@ class TestAntiderivativeConsistency:
             assert np.abs(numeric - closed).max() < 1e-9
 
     def test_second_antiderivative_matches_numeric(self):
-        for name in ("cosine", "reflect(cosine)"):
+        for name in CATALOG + ("reflect2(haar)", "reflect(rademacher)"):
             sys_ = get_system(name)
             grid = np.linspace(0.0, 1.0, 33)
-            for k in (1, 3):
+            for k in (1, 2, 3, 7):
                 rule = recommended_rule(sys_, k)
                 numeric = cumulative_integral(lambda u, k=k: np.asarray(
                     sys_.antideriv(k, u), dtype=float), grid, rule)
                 closed = np.asarray(sys_.antideriv2(k, grid), dtype=float)
-                assert np.abs(numeric - closed).max() < 1e-9
+                assert np.abs(numeric - closed).max() < 1e-9, (name, k)
+
+
+def _dyadic_points():
+    """Every double in [0, 1] is dyadic; the grid draws hit breakpoints."""
+    grid = st.builds(lambda j, e: Fraction(j, 1 << e),
+                     st.integers(0, 1 << 20), st.integers(0, 20)).filter(
+                         lambda u: u <= 1)
+    return st.one_of(grid, st.floats(0.0, 1.0).map(Fraction))
+
+
+def _haar_antideriv2_exact(m: int, u: Fraction) -> Fraction:
+    """int_0^u int_0^t X_m, divided by the amplitude 2^(s/2) for m >= 2."""
+    if m == 1:
+        return u * u / 2
+    block = 1 << ((m - 1).bit_length() - 1)
+    j = m - block
+    a, b = Fraction(j - 1, block), Fraction(j, block)
+    c, half = (a + b) / 2, Fraction(1, 2 * block)
+    v = min(max(u, a), b)
+    return (v - a) ** 2 / 2 if v < c else half * half - (b - v) ** 2 / 2
+
+
+def _rademacher_antideriv2_exact(k: int, u: Fraction) -> Fraction:
+    period = Fraction(1, 1 << (k - 1))
+    whole = u // period
+    y = u - whole * period
+    within = (y * y / 2 if y < period / 2
+              else period * period / 4 - (period - y) ** 2 / 2)
+    return whole * period * period / 4 + within
+
+
+def _assert_close(got: float, exact: float) -> None:
+    assert abs(got - exact) <= 8 * np.finfo(float).eps * abs(exact) + 1e-300
+
+
+class TestSecondAntiderivativeExact:
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(1, 4096), u=_dyadic_points())
+    def test_haar_matches_fraction_oracle(self, m, u):
+        amp = 1.0 if m == 1 else np.sqrt(2.0 ** ((m - 1).bit_length() - 1))
+        exact = amp * float(_haar_antideriv2_exact(m, u))
+        _assert_close(float(haar_system().antideriv2(m, float(u))), exact)
+
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.integers(1, 60), u=_dyadic_points())
+    def test_rademacher_matches_fraction_oracle(self, k, u):
+        exact = float(_rademacher_antideriv2_exact(k, u))
+        _assert_close(float(rademacher_system().antideriv2(k, float(u))),
+                      exact)
 
 
 class TestGram:
