@@ -10,10 +10,8 @@ the thresholds are explicit and overridable.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -110,22 +108,6 @@ def growth_report(label: str, indices: Sequence[int], values: Sequence[float],
                         float(rm[-1]), slope)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("ONS_LAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _parallel_map(fn: Callable, items: Sequence) -> list:
-    workers = min(_worker_count(), len(items)) if items else 1
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # pointwise diagnostics
 # ---------------------------------------------------------------------------
@@ -176,14 +158,9 @@ def boundedness_values(system: SystemHandle, x_grid: Sequence[float],
             f"n_max: boundedness sweeps need n_max >= 2, got {n_max}")
     xs = list(x_grid)
     out = np.empty((len(xs), n_max - 1))
-
-    def one_n(n: int) -> np.ndarray:
+    for i, n in enumerate(range(2, n_max + 1)):
         ctx = KernelContext(system, n)
-        return np.array([boundedness_functional(ctx, x) for x in xs])
-
-    columns = _parallel_map(one_n, list(range(2, n_max + 1)))
-    for i, col in enumerate(columns):
-        out[:, i] = col
+        out[:, i] = [boundedness_functional(ctx, x) for x in xs]
     return out
 
 
@@ -363,7 +340,8 @@ def extremal_lipschitz(ctx: KernelContext, t: float,
     Lipschitz modulus at most 1 exactly.
     """
     if grid_size < 64:
-        raise ValueError("grid_size must be >= 64")
+        raise InvalidConfig(f"grid_size: extremal construction needs "
+                            f"grid_size >= 64, got {grid_size}")
     ys = np.linspace(0.0, 1.0, grid_size + 1)
     if ctx.system.antideriv2 is not None:
         from .systems import eval_matrix, system_values

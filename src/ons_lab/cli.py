@@ -11,8 +11,7 @@ Gram matrix off identity beyond tolerance).
 
 Flag values override config-file entries, which override built-in
 defaults.  Config files are flat ``key=value`` text; keys match flag
-names with either dashes or underscores.  The environment variable
-``ONS_LAB_THREADS`` caps sweep parallelism; results do not depend on it.
+names with either dashes or underscores.
 """
 
 from __future__ import annotations
@@ -173,6 +172,9 @@ def _run_bessel(config: ExperimentConfig):
     names = (CATALOG_SYSTEMS if config.system == "all"
              else (config.system,))
     points = config.extras.get("points", 33)
+    if points < 1:
+        raise InvalidConfig(f"points: the square-sum scan needs points >= 1, "
+                            f"got {points}")
     tol = config.tolerances.get("check", 1e-8)
     us = np.linspace(0.0, 1.0, points)
     rows, worst = [], -np.inf

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import IndexOutOfRange, MissingDerivative
+from .errors import IndexOutOfRange, InvalidConfig, MissingDerivative
 from .kernels import KernelContext, antiderivative_kernel, dirichlet_mean
 from .quadrature import (
     QuadratureRule,
@@ -56,7 +56,8 @@ def coefficients(system: SystemHandle, f: FunctionSpec, n_max: int,
                  rule: Optional[QuadratureRule] = None) -> CoefficientTable:
     """Coefficients ``C_k = int_0^1 f phi_k`` for k = 1..n_max."""
     if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+        raise InvalidConfig(
+            f"n_max: coefficient tables need n_max >= 1, got {n_max}")
     if rule is None:
         rule = recommended_rule(system, n_max, extra_breakpoints=f.breakpoints)
     elif f.breakpoints:
@@ -157,7 +158,7 @@ def summation_identity(f: FunctionSpec, F: Union[Callable, FunctionSpec], n: int
     if f.deriv is None:
         raise MissingDerivative(f"function {f.name!r} has no derivative evaluator")
     if n < 2:
-        raise ValueError("n must be >= 2")
+        raise InvalidConfig(f"n: summation identity needs n >= 2, got {n}")
     if second_sum_upper not in ("n", "n-1"):
         raise ValueError("second_sum_upper must be 'n' or 'n-1'")
 

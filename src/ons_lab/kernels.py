@@ -12,6 +12,14 @@ mesh ``i/n``:
 which stays O(1) in ``n`` exactly for the well-behaved systems the
 experiments target.
 
+The prefix integrals at ``i/n`` come from the second antiderivatives
+``int_0^u g_k`` when the system has them in closed form.  For the cosine
+system, whose second antiderivatives are ``c_k (1 - cos 2 pi k u)``, all
+n of them are one real FFT of length n, O(n log n) per ``(n, x)``.  A
+Haar ``phi(x)`` has few nonzero entries and takes only their rows; other
+closed-form systems share one ``(n, n)`` table across evaluation points,
+and systems without closed forms integrate cell by cell.
+
 A :class:`KernelContext` pins ``(system, n, rule)`` and caches the
 antiderivative tables shared by every evaluation point, so sweeps over
 ``x`` reuse one table.  The quadrature rule is built on first use, so
@@ -28,6 +36,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .errors import InvalidConfig
 from .quadrature import (
     IntegrationResult,
     QuadratureRule,
@@ -57,7 +66,7 @@ class KernelContext:
     def __init__(self, system: SystemHandle, n: int,
                  rule: Optional[QuadratureRule] = None):
         if n < 1:
-            raise ValueError("n must be >= 1")
+            raise InvalidConfig(f"n: kernel context needs n >= 1, got {n}")
         self.system = system
         self.n = int(n)
         self._rule = rule
@@ -194,8 +203,10 @@ def kernel_prefix_integral(ctx: KernelContext, t: float, x: float) -> float:
 def boundedness_functional(ctx: KernelContext, x: float) -> float:
     """Mean absolute prefix integral of the antiderivative kernel.
 
-    Accumulates one integral per mesh cell and prefix-sums, so a full
-    evaluation costs O(n) cell integrals rather than O(n^2).
+    All n - 1 prefix integrals come from one pass (see
+    :func:`_prefix_values`): an FFT for the cosine system, closed-form
+    rows or a shared table for other systems with second antiderivatives,
+    and otherwise one integral per mesh cell, prefix-summed.
     """
     if ctx.n < 2:
         raise ValueError("boundedness functional needs n >= 2")
@@ -212,11 +223,15 @@ def _check_x(x: float) -> None:
 def _prefix_values(ctx: KernelContext, x: float) -> np.ndarray:
     """Prefix integrals at i/n for i = 1..n.
 
-    With a closed-form second antiderivative, a ``phi(x)`` with zeros (a
-    Haar vector has at most log2(n) + 2 nonzero entries) takes only the
-    rows of its nonzero entries; a full-support one uses the shared table.
+    A system whose second antiderivative is ``c_k (1 - cos 2 pi k u)``
+    takes one real DFT of ``c_k phi_k(x)``.  Otherwise, with a closed-form
+    second antiderivative, a ``phi(x)`` with zeros (a Haar vector has at
+    most log2(n) + 2 nonzero entries) takes only the rows of its nonzero
+    entries; a full-support one uses the shared table.
     """
     phi_x = system_values(ctx.system, ctx.n, x)
+    if ctx.system.antideriv2_cos is not None:
+        return _cosine_prefix_values(ctx, phi_x)
     live = np.flatnonzero(phi_x)
     if ctx.system.antideriv2 is not None:
         if len(live) == ctx.n:
@@ -231,6 +246,17 @@ def _prefix_values(ctx: KernelContext, x: float) -> np.ndarray:
         q_vals += phi_x[idx] * ctx._mesh_g_row(int(idx) + 1)
     cell_integrals = np.add.reduceat(weights * q_vals, starts)
     return np.cumsum(cell_integrals)
+
+
+def _cosine_prefix_values(ctx: KernelContext, phi_x: np.ndarray) -> np.ndarray:
+    # P_i = sum_k w_k (1 - cos(2 pi k i / n)) with w_k = c_k phi_k(x): placing
+    # w_k at k mod n makes Re DFT(w)[i] the cosine sum, and a real input's DFT
+    # is symmetric, so rfft gives every i.  The plain sum is taken directly,
+    # because DFT(w)[0] carries the FFT's larger roundoff at prime n.
+    n = ctx.n
+    w = ctx.system.antideriv2_cos(np.arange(1, n + 1)) * phi_x
+    re = np.fft.rfft(np.concatenate((w[-1:], w[:-1]))).real
+    return w.sum() - np.concatenate((re[1:], re[(n + 1) // 2 - 1:0:-1], re[:1]))
 
 
 def boundedness_functional_naive(ctx: KernelContext, x: float) -> float:

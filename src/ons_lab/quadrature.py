@@ -22,7 +22,6 @@ from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import InvalidInterval, NonFiniteIntegrand
 
@@ -200,6 +199,8 @@ def integrate_abs(f: Callable, rule: QuadratureRule,
         raise InvalidInterval(f"empty interval: a={a} > b={b}")
     if a == b:
         return IntegrationResult(0.0, 0.0, 1)
+    # imported here: scipy.optimize dominates the import time of the package
+    from scipy.optimize import brentq
 
     def scalar_f(t: float) -> float:
         return float(np.asarray(f(np.array([t])), dtype=float).ravel()[0])

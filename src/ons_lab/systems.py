@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import OnsLabError, UnknownFunction, UnknownSystem
+from .errors import InvalidConfig, OnsLabError, UnknownFunction, UnknownSystem
 from .quadrature import (
     PIECEWISE_ABS_TOL,
     SMOOTH_ABS_TOL,
@@ -63,6 +63,9 @@ class SystemHandle:
         when the full list is too large to enumerate.
     panels_hint : callable or None
         ``k -> int`` panels per breakpoint segment that resolve element k.
+    antideriv2_cos : callable or None
+        ``k -> c_k``, set when ``antideriv2(k, u) = c_k * (1 - cos(2 pi k u))``;
+        prefix integrals on the mesh ``i/n`` are then one length-n DFT.
     """
 
     name: str
@@ -75,6 +78,7 @@ class SystemHandle:
     period: Optional[Callable[[int], Fraction]] = None
     breakpoints_in: Optional[Callable] = None
     panels_hint: Optional[Callable[[int], int]] = None
+    antideriv2_cos: Optional[Callable] = None
 
 
 @dataclass(frozen=True)
@@ -130,6 +134,10 @@ def _cosine_antideriv2(k, u):
     return SQRT2 * (1.0 - np.cos(2.0 * np.pi * k * u)) / (2.0 * np.pi * k) ** 2
 
 
+def _cosine_antideriv2_coeff(k):
+    return SQRT2 / (2.0 * np.pi * np.asarray(k, dtype=float)) ** 2
+
+
 def cosine_system() -> SystemHandle:
     """Full-period cosine system ``sqrt(2) cos(2 pi k u)``, k >= 1."""
     return SystemHandle(
@@ -142,6 +150,7 @@ def cosine_system() -> SystemHandle:
         antideriv2=_cosine_antideriv2,
         period=lambda k: Fraction(1, int(k)),
         panels_hint=lambda k: max(4, int(k)),
+        antideriv2_cos=_cosine_antideriv2_coeff,
     )
 
 
@@ -190,19 +199,20 @@ def _haar_antideriv_core(k, u):
     return out
 
 
-def _haar_antideriv2_core(k, u):
+def _haar_antideriv2(k, u):
     # the tent g_m integrates to a quadratic on [a, c] and on [c, b], then
-    # stays at the tent's area amp * half^2
-    out = 0.5 * u * u
-    rest = k != 1
-    if np.any(rest):
-        m, uu = k[rest], u[rest]
-        a, b, c, amp = _haar_params(m)
-        v = np.clip(uu, a, b)
-        half = (b - a) / 2.0
-        out[rest] = amp * np.where(v < c, 0.5 * (v - a) ** 2,
-                                   half * half - 0.5 * (b - v) ** 2)
-    return out
+    # stays at the tent's area amp * half^2.  k and u broadcast instead of
+    # being expanded, so block data is computed once per index, not once
+    # per (k, u) entry; for k = 1 it is unused (and finite)
+    k = np.asarray(k, dtype=np.int64)
+    u = np.asarray(u, dtype=float)
+    a, b, c, amp = _haar_params(k)
+    v = np.clip(u, a, b)
+    half = (b - a) / 2.0
+    tent = amp * np.where(v < c, 0.5 * (v - a) ** 2,
+                          half * half - 0.5 * (b - v) ** 2)
+    out = np.where(k == 1, 0.5 * u * u, tent)
+    return out if out.ndim else float(out)
 
 
 def _haar_breakpoints(k: int) -> tuple:
@@ -221,7 +231,7 @@ def haar_system() -> SystemHandle:
         breakpoints=_haar_breakpoints,
         smooth=False,
         piecewise_constant=True,
-        antideriv2=_vectorize_ku(_haar_antideriv2_core),
+        antideriv2=_haar_antideriv2,
         panels_hint=lambda k: 2,
     )
 
@@ -623,6 +633,8 @@ def inner_product(system: SystemHandle, j: int, k: int,
 def gram_matrix(system: SystemHandle, n: int,
                 rule: Optional[QuadratureRule] = None) -> np.ndarray:
     """Matrix of pairwise inner products of the first n elements."""
+    if n < 1:
+        raise InvalidConfig(f"n: Gram matrix needs n >= 1, got {n}")
     if system.piecewise_constant and system.antideriv is not None:
         out = np.empty((n, n))
         for j in range(1, n + 1):

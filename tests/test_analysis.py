@@ -144,12 +144,6 @@ class TestBoundednessSweeps:
                 assert matrix[j, i] == pytest.approx(
                     boundedness_functional(ctx, x), abs=1e-12)
 
-    def test_parallel_env_does_not_change_values(self, monkeypatch):
-        serial = boundedness_values(haar_system(), (0.3,), 10)
-        monkeypatch.setenv("ONS_LAB_THREADS", "4")
-        parallel = boundedness_values(haar_system(), (0.3,), 10)
-        assert np.array_equal(serial, parallel)
-
 
 def test_inverse_square_root_sum():
     vals = inverse_square_root_sum([1, 2])

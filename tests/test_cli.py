@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ons_lab
 from ons_lab.cli import (
     COMMANDS,
     ExperimentConfig,
@@ -58,6 +63,33 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "n_max" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("args,key", [
+        (["gram", "--n", "0"], "n"),
+        (["lemma3", "--n-values", "0"], "n"),
+        (["eq11", "--n-values", "1"], "n"),
+        (["theorem3-extremal", "--grid-size", "8"], "grid_size"),
+        (["lemma4", "--n", "0"], "n_max"),
+        (["bessel", "--points", "0"], "points"),
+    ], ids=lambda v: "_".join(v) if isinstance(v, list) else v)
+    def test_invalid_sizes_are_one_line_usage_errors(self, args, key,
+                                                     tmp_path, capsys):
+        code, _ = run_cli(args, tmp_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"ons-lab: error: {key}: ")
+        assert err.count("\n") == 1
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        # scipy.optimize is most of the package's import time; only
+        # integrate_abs needs it
+        src = str(Path(ons_lab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        probe = "import sys, ons_lab.cli; print('scipy.optimize' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, timeout=120,
+                             check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestOutputFormats:

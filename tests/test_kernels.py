@@ -27,6 +27,7 @@ from ons_lab import (
     recommended_rule,
     system_values,
 )
+from ons_lab.kernels import _prefix_values
 
 SQ2 = np.sqrt(2.0)
 
@@ -222,6 +223,20 @@ class TestNumericAntiderivativeFallback:
         assert ctx._mesh is None and not ctx._g_rows
         assert ctx.rule.breakpoints            # still available on demand
 
+    def test_cosine_context_builds_no_table(self):
+        ctx = KernelContext(cosine_system(), 64)
+        for x in (0.0, 0.3, 1.0):
+            boundedness_functional(ctx, x)
+        assert ctx._prefix_table is None
+        assert ctx._rule is None and ctx._mesh is None
+
+    @pytest.mark.parametrize("name", ["reflect(cosine)", "rademacher"])
+    def test_other_full_support_systems_share_the_table(self, name):
+        ctx = KernelContext(get_system(name), 12)
+        boundedness_functional(ctx, 0.3)
+        assert ctx._prefix_table is not None
+        assert ctx._prefix_table.shape == (12, 12)
+
 
 def _sweep_points():
     """0, 1, dyadic breakpoints and interior points of [0, 1]."""
@@ -229,6 +244,39 @@ def _sweep_points():
                        st.integers(0, 6)).filter(lambda x: x <= 1.0)
     return st.one_of(st.sampled_from([0.0, 1.0]), dyadic,
                      st.floats(0.0, 1.0))
+
+
+_PRIMES = (2, 3, 5, 7, 11, 13, 31, 97, 127, 211, 251, 293)
+_POWERS_OF_TWO = tuple(2 ** e for e in range(1, 9))
+
+
+@st.composite
+def _n_and_point(draw):
+    """An index n <= 300 and a point: 0, 1, a mesh point k/n or interior."""
+    n = draw(st.one_of(st.integers(2, 300), st.sampled_from(_PRIMES),
+                       st.sampled_from(_POWERS_OF_TWO)))
+    x = draw(st.one_of(st.sampled_from([0.0, 1.0]),
+                       st.integers(0, n).map(lambda k: k / n),
+                       st.floats(0.0, 1.0)))
+    return n, x
+
+
+class TestCosineDftPrefixes:
+    """The cosine FFT path against the shared table and the sin^2 form."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_n_and_point())
+    def test_matches_table_and_closed_form(self, case):
+        n, x = case
+        sys_ = cosine_system()
+        ctx = KernelContext(sys_, n)
+        got = _prefix_values(ctx, x)
+        phi_x = system_values(sys_, n, x)
+        assert np.abs(got - ctx.prefix_table().T @ phi_x).max() <= 1e-15
+        ks = np.arange(1, n + 1)[:, None]
+        ts = (np.arange(1, n + 1) / n)[None, :]
+        sin2 = 2.0 * SQ2 * np.sin(np.pi * ks * ts) ** 2 / (2 * np.pi * ks) ** 2
+        assert np.abs(got - sin2.T @ phi_x).max() <= 1e-15
 
 
 class TestSparsePrefixRows:
