@@ -65,6 +65,7 @@ from .quadrature import (
     SMOOTH_ABS_TOL,
     IntegrationResult,
     QuadratureRule,
+    cell_mesh,
     cumulative_integral,
     integrate,
     integrate_abs,

@@ -19,6 +19,7 @@ from .errors import InvalidConfig
 from .fourier import CoefficientTable, coefficients, partial_sum_sweep
 from .kernels import (
     KernelContext,
+    _check_x,
     antiderivative_kernel,
     boundedness_functional,
 )
@@ -342,6 +343,7 @@ def extremal_lipschitz(ctx: KernelContext, t: float,
     if grid_size < 64:
         raise InvalidConfig(f"grid_size: extremal construction needs "
                             f"grid_size >= 64, got {grid_size}")
+    _check_x(t, "t")
     ys = np.linspace(0.0, 1.0, grid_size + 1)
     if ctx.system.antideriv2 is not None:
         from .systems import eval_matrix, system_values
@@ -394,6 +396,7 @@ def pairing_split(ctx: KernelContext, f: FunctionSpec, t: float) -> PairingSplit
     term ``f(1) * int_0^1 Q``; their sum reproduces the direct pairing
     exactly in exact arithmetic.
     """
+    _check_x(t, "t")
     n = ctx.n
     rule = ctx.rule.with_breakpoints(f.breakpoints) if f.breakpoints else ctx.rule
     grid = np.arange(1, n + 1) / n

@@ -63,9 +63,13 @@ class ExperimentConfig:
             raise InvalidConfig(f"command: unknown command {self.command!r}")
         if self.fmt not in ("csv", "json"):
             raise InvalidConfig(f"format: must be csv or json, got {self.fmt!r}")
+        if not self.x_points:
+            raise InvalidConfig("x_points: needs at least one point")
         for x in self.x_points:
             if not 0.0 <= float(x) <= 1.0:
                 raise InvalidConfig(f"x_points: value {x} outside [0, 1]")
+        if "n_values" in self.extras and not self.extras["n_values"]:
+            raise InvalidConfig("n_values: needs at least one index")
         if self.n_max < 1:
             raise InvalidConfig(f"n_max: must be >= 1, got {self.n_max}")
 

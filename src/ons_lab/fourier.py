@@ -22,14 +22,8 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import IndexOutOfRange, InvalidConfig, MissingDerivative
-from .kernels import KernelContext, antiderivative_kernel, dirichlet_mean
-from .quadrature import (
-    QuadratureRule,
-    _panel_points,
-    _segment_edges,
-    cumulative_integral,
-    integrate,
-)
+from .kernels import KernelContext, _check_x, antiderivative_kernel, dirichlet_mean
+from .quadrature import QuadratureRule, cell_mesh, cumulative_integral, integrate
 from .systems import (
     FunctionSpec,
     SystemHandle,
@@ -62,8 +56,7 @@ def coefficients(system: SystemHandle, f: FunctionSpec, n_max: int,
         rule = recommended_rule(system, n_max, extra_breakpoints=f.breakpoints)
     elif f.breakpoints:
         rule = rule.with_breakpoints(f.breakpoints)
-    edges = _segment_edges(0.0, 1.0, rule.breakpoints)
-    nodes, weights = _panel_points(edges, rule.order, 2 * rule.panels)
+    nodes, weights, _ = cell_mesh((0.0, 1.0), rule, 2 * rule.panels)
     f_vals = np.broadcast_to(np.asarray(f.eval(nodes), dtype=float), nodes.shape)
     table = eval_matrix(system, n_max, nodes)
     return CoefficientTable(system, f, table @ (weights * f_vals))
@@ -201,5 +194,6 @@ def kernel_section(system: SystemHandle, n: int, x: float) -> Callable:
 
     Convenience for feeding kernel sections into :func:`summation_identity`.
     """
+    _check_x(x)
     ctx = KernelContext(system, n)
     return lambda u: antiderivative_kernel(ctx, u, x)

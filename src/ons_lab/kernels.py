@@ -12,17 +12,18 @@ mesh ``i/n``:
 which stays O(1) in ``n`` exactly for the well-behaved systems the
 experiments target.
 
-The prefix integrals at ``i/n`` come from the second antiderivatives
-``int_0^u g_k`` when the system has them in closed form.  For the cosine
-system, whose second antiderivatives are ``c_k (1 - cos 2 pi k u)``, all
-n of them are one real FFT of length n, O(n log n) per ``(n, x)``.  A
-Haar ``phi(x)`` has few nonzero entries and takes only their rows; other
-closed-form systems share one ``(n, n)`` table across evaluation points,
-and systems without closed forms integrate cell by cell.
+The prefix integrals at ``i/n`` are rows of ``int_0^{i/n} g_k``, one per
+index k.  For the cosine system, whose second antiderivatives are
+``c_k (1 - cos 2 pi k u)``, all n of them are one real FFT of length n,
+O(n log n) per ``(n, x)``.  A Haar ``phi(x)`` has few nonzero entries and
+takes only their rows; other systems share one ``(n, n)`` table across
+evaluation points.  Rows come from the closed-form second antiderivative
+when the system has one, and otherwise from quadrature of ``g_k`` over
+the cells of the mesh ``i/n``.
 
 A :class:`KernelContext` pins ``(system, n, rule)`` and caches the
-antiderivative tables shared by every evaluation point, so sweeps over
-``x`` reuse one table.  The quadrature rule is built on first use, so
+prefix table shared by every evaluation point, so sweeps over ``x``
+reuse one table.  The quadrature rule is built on first use, so
 closed-form paths never construct it.  Contexts are read-only after
 construction apart from idempotent caches guarded by a lock; evaluations
 are pure.
@@ -40,8 +41,7 @@ from .errors import InvalidConfig
 from .quadrature import (
     IntegrationResult,
     QuadratureRule,
-    _panel_points,
-    _segment_edges,
+    cell_mesh,
     cumulative_integral,
     integrate,
     integrate_abs,
@@ -70,10 +70,8 @@ class KernelContext:
         self.system = system
         self.n = int(n)
         self._rule = rule
-        self._lock = threading.RLock()
-        self._mesh = None            # (nodes, weights, cell_starts)
-        self._g_rows: dict[int, np.ndarray] = {}
-        self._prefix_table = None    # antideriv2 at i/n, shape (n, n)
+        self._lock = threading.Lock()
+        self._prefix_table = None    # int_0^{i/n} g_k, shape (n, n)
 
     @property
     def rule(self) -> QuadratureRule:
@@ -108,50 +106,35 @@ class KernelContext:
         out[order] = vals
         return out
 
-    # -- shared meshes and tables --------------------------------------
-
-    def _cell_mesh(self):
-        """Quadrature mesh covering the cells [(i-1)/n, i/n], cached."""
-        with self._lock:
-            if self._mesh is None:
-                hint = (self.system.panels_hint(self.n)
-                        if self.system.panels_hint is not None else self.n)
-                panels = max(2, -(-int(hint) // self.n))
-                nodes_all, weights_all, starts = [], [], []
-                pos = 0
-                for i in range(1, self.n + 1):
-                    lo, hi = (i - 1) / self.n, i / self.n
-                    edges = _segment_edges(lo, hi, self.rule.breakpoints)
-                    nodes, weights = _panel_points(edges, self.rule.order, panels)
-                    starts.append(pos)
-                    pos += len(nodes)
-                    nodes_all.append(nodes)
-                    weights_all.append(weights)
-                self._mesh = (np.concatenate(nodes_all),
-                              np.concatenate(weights_all),
-                              np.array(starts, dtype=np.intp))
-            return self._mesh
-
-    def _mesh_g_row(self, k: int) -> np.ndarray:
-        nodes, _, _ = self._cell_mesh()
-        with self._lock:
-            row = self._g_rows.get(k)
-        if row is None:
-            row = self.g_values([k], nodes)[0]
-            with self._lock:
-                self._g_rows[k] = row
-        return row
+    # -- shared tables -------------------------------------------------
 
     def prefix_table(self) -> np.ndarray:
-        """Closed-form ``int_0^{i/n} g_k`` at every mesh point i/n, cached."""
+        """``int_0^{i/n} g_k`` for every index k and mesh point i/n, cached."""
         with self._lock:
             table = self._prefix_table
         if table is None:
-            ts = np.arange(1, self.n + 1) / self.n
-            table = eval_matrix(self.system, self.n, ts, fn="antideriv2")
+            table = _prefix_rows(self, np.arange(1, self.n + 1))
             with self._lock:
                 self._prefix_table = table
         return table
+
+
+def _prefix_rows(ctx: KernelContext, ks: np.ndarray) -> np.ndarray:
+    """Rows ``R[r, i - 1] = int_0^{i/n} g_{ks[r]}`` for i = 1..n.
+
+    Closed-form second antiderivatives when the system has them; otherwise
+    ``g_k`` is integrated over the cells of the mesh ``i/n``, split at the
+    rule's breakpoints, and prefix-summed.
+    """
+    ts = np.arange(1, ctx.n + 1) / ctx.n
+    if ctx.system.antideriv2 is not None:
+        return np.asarray(ctx.system.antideriv2(ks[:, None], ts[None, :]),
+                          dtype=float)
+    panels = max(2, -(-ctx.rule.panels // ctx.n))
+    nodes, weights, starts = cell_mesh(np.concatenate(([0.0], ts)), ctx.rule,
+                                       panels)
+    cells = np.add.reduceat(ctx.g_values(ks, nodes) * weights, starts, axis=1)
+    return np.cumsum(cells, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +169,7 @@ def kernel_prefix_integral(ctx: KernelContext, t: float, x: float) -> float:
     Uses the closed-form second antiderivative when the system provides
     one, otherwise breakpoint-aware quadrature.
     """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("t must lie in [0, 1]")
+    _check_x(t, "t")
     _check_x(x)
     if t == 0.0:
         return 0.0
@@ -204,9 +186,9 @@ def boundedness_functional(ctx: KernelContext, x: float) -> float:
     """Mean absolute prefix integral of the antiderivative kernel.
 
     All n - 1 prefix integrals come from one pass (see
-    :func:`_prefix_values`): an FFT for the cosine system, closed-form
-    rows or a shared table for other systems with second antiderivatives,
-    and otherwise one integral per mesh cell, prefix-summed.
+    :func:`_prefix_values`): an FFT for the cosine system, and otherwise
+    the rows of the indices where ``phi(x)`` is nonzero, or the shared
+    prefix table when it has no zeros.
     """
     if ctx.n < 2:
         raise ValueError("boundedness functional needs n >= 2")
@@ -215,37 +197,27 @@ def boundedness_functional(ctx: KernelContext, x: float) -> float:
     return float(np.abs(prefixes[:ctx.n - 1]).sum() / ctx.n)
 
 
-def _check_x(x: float) -> None:
+def _check_x(x: float, name: str = "x") -> None:
     if not 0.0 <= x <= 1.0:             # also rejects NaN
-        raise ValueError("x must lie in [0, 1]")
+        raise InvalidConfig(f"{name} must lie in [0, 1], got {x}")
 
 
 def _prefix_values(ctx: KernelContext, x: float) -> np.ndarray:
     """Prefix integrals at i/n for i = 1..n.
 
     A system whose second antiderivative is ``c_k (1 - cos 2 pi k u)``
-    takes one real DFT of ``c_k phi_k(x)``.  Otherwise, with a closed-form
-    second antiderivative, a ``phi(x)`` with zeros (a Haar vector has at
-    most log2(n) + 2 nonzero entries) takes only the rows of its nonzero
-    entries; a full-support one uses the shared table.
+    takes one real DFT of ``c_k phi_k(x)``.  Otherwise a ``phi(x)`` with
+    zeros (a Haar vector has at most log2(n) + 2 nonzero entries) takes
+    only the rows of its nonzero entries; a full-support one uses the
+    shared table.
     """
     phi_x = system_values(ctx.system, ctx.n, x)
     if ctx.system.antideriv2_cos is not None:
         return _cosine_prefix_values(ctx, phi_x)
     live = np.flatnonzero(phi_x)
-    if ctx.system.antideriv2 is not None:
-        if len(live) == ctx.n:
-            return ctx.prefix_table().T @ phi_x
-        ts = np.arange(1, ctx.n + 1) / ctx.n
-        rows = np.asarray(ctx.system.antideriv2(live[:, None] + 1, ts[None, :]),
-                          dtype=float)
-        return phi_x[live] @ rows
-    nodes, weights, starts = ctx._cell_mesh()
-    q_vals = np.zeros(len(nodes))
-    for idx in live:
-        q_vals += phi_x[idx] * ctx._mesh_g_row(int(idx) + 1)
-    cell_integrals = np.add.reduceat(weights * q_vals, starts)
-    return np.cumsum(cell_integrals)
+    if len(live) < ctx.n:
+        return phi_x[live] @ _prefix_rows(ctx, live + 1)
+    return ctx.prefix_table().T @ phi_x
 
 
 def _cosine_prefix_values(ctx: KernelContext, phi_x: np.ndarray) -> np.ndarray:

@@ -24,6 +24,7 @@ from .quadrature import (
     PIECEWISE_ABS_TOL,
     SMOOTH_ABS_TOL,
     QuadratureRule,
+    cell_mesh,
     integrate,
 )
 
@@ -306,6 +307,27 @@ def rademacher_system() -> SystemHandle:
 # compress-and-reflect transform
 # ---------------------------------------------------------------------------
 
+def _split_halves(left: Callable, right: Callable) -> Callable:
+    """Broadcasting ``(k, u)`` evaluator assembled from two half-interval parts.
+
+    ``left(k, u)`` serves the points ``u < 1/2`` and ``right(k, u)`` the
+    rest; each receives flat index and abscissa arrays of equal length.
+    """
+
+    def wrapped(k, u):
+        kb, ub = np.broadcast_arrays(np.asarray(k), np.asarray(u, dtype=float))
+        shape = kb.shape
+        kf = np.atleast_1d(kb).ravel()
+        uf = np.atleast_1d(ub).ravel().astype(float)
+        out = np.empty(uf.shape, dtype=float)
+        lo = uf < 0.5
+        out[lo] = left(kf[lo], uf[lo])
+        out[~lo] = right(kf[~lo], uf[~lo])
+        return out.reshape(shape) if shape else float(out[0])
+
+    return wrapped
+
+
 def compress_reflect(base: SystemHandle) -> SystemHandle:
     """System ``u -> base_k(2u)`` on [0, 1/2), ``-base_k(2u - 1)`` on [1/2, 1].
 
@@ -313,59 +335,24 @@ def compress_reflect(base: SystemHandle) -> SystemHandle:
     Applying the transform twice additionally removes the first moment of
     every element.
     """
-    base_eval = base.eval
-    base_anti = base.antideriv
-    base_anti2 = base.antideriv2
+    ev, anti, anti2 = base.eval, base.antideriv, base.antideriv2
 
-    def ev(k, u):
-        kb, ub = np.broadcast_arrays(np.asarray(k), np.asarray(u, dtype=float))
-        shape = kb.shape
-        kf = np.atleast_1d(kb).ravel()
-        uf = np.atleast_1d(ub).ravel().astype(float)
-        out = np.empty(uf.shape, dtype=float)
-        left = uf < 0.5
-        out[left] = np.asarray(base_eval(kf[left], 2.0 * uf[left]), dtype=float)
-        out[~left] = -np.asarray(base_eval(kf[~left], 2.0 * (uf[~left] - 0.5)),
-                                 dtype=float)
-        return out.reshape(shape) if shape else float(out[0])
+    def anti2_right(k, u):
+        ones = np.ones(len(u))
+        return (0.25 * anti2(k, ones) + 0.5 * anti(k, ones) * (u - 0.5)
+                - 0.25 * anti2(k, 2.0 * (u - 0.5)))
 
-    anti = None
-    if base_anti is not None:
-        def anti(k, u):
-            kb, ub = np.broadcast_arrays(np.asarray(k), np.asarray(u, dtype=float))
-            shape = kb.shape
-            kf = np.atleast_1d(kb).ravel()
-            uf = np.atleast_1d(ub).ravel().astype(float)
-            out = np.empty(uf.shape, dtype=float)
-            left = uf < 0.5
-            out[left] = 0.5 * np.asarray(base_anti(kf[left], 2.0 * uf[left]),
-                                         dtype=float)
-            g1 = np.asarray(base_anti(kf[~left], np.ones(np.count_nonzero(~left))),
-                            dtype=float)
-            out[~left] = 0.5 * g1 - 0.5 * np.asarray(
-                base_anti(kf[~left], 2.0 * (uf[~left] - 0.5)), dtype=float)
-            return out.reshape(shape) if shape else float(out[0])
-
-    anti2 = None
-    if base_anti is not None and base_anti2 is not None:
-        def anti2(k, u):
-            kb, ub = np.broadcast_arrays(np.asarray(k), np.asarray(u, dtype=float))
-            shape = kb.shape
-            kf = np.atleast_1d(kb).ravel()
-            uf = np.atleast_1d(ub).ravel().astype(float)
-            out = np.empty(uf.shape, dtype=float)
-            left = uf < 0.5
-            out[left] = 0.25 * np.asarray(base_anti2(kf[left], 2.0 * uf[left]),
-                                          dtype=float)
-            nright = np.count_nonzero(~left)
-            ones = np.ones(nright)
-            a2_1 = np.asarray(base_anti2(kf[~left], ones), dtype=float)
-            g1 = np.asarray(base_anti(kf[~left], ones), dtype=float)
-            shifted = 2.0 * (uf[~left] - 0.5)
-            out[~left] = (0.25 * a2_1 + 0.5 * g1 * (uf[~left] - 0.5)
-                          - 0.25 * np.asarray(base_anti2(kf[~left], shifted),
-                                              dtype=float))
-            return out.reshape(shape) if shape else float(out[0])
+    reflected_eval = _split_halves(lambda k, u: ev(k, 2.0 * u),
+                                   lambda k, u: -ev(k, 2.0 * (u - 0.5)))
+    reflected_anti = reflected_anti2 = None
+    if anti is not None:
+        reflected_anti = _split_halves(
+            lambda k, u: 0.5 * anti(k, 2.0 * u),
+            lambda k, u: 0.5 * anti(k, np.ones(len(u)))
+            - 0.5 * anti(k, 2.0 * (u - 0.5)))
+        if anti2 is not None:
+            reflected_anti2 = _split_halves(lambda k, u: 0.25 * anti2(k, 2.0 * u),
+                                            anti2_right)
 
     def bps(k: int) -> tuple:
         inner = base.breakpoints(k)
@@ -376,12 +363,12 @@ def compress_reflect(base: SystemHandle) -> SystemHandle:
 
     return SystemHandle(
         name=f"reflect({base.name})",
-        eval=ev,
-        antideriv=anti,
+        eval=reflected_eval,
+        antideriv=reflected_anti,
         breakpoints=bps,
         smooth=False,
         piecewise_constant=base.piecewise_constant,
-        antideriv2=anti2,
+        antideriv2=reflected_anti2,
         panels_hint=base.panels_hint,
     )
 
@@ -644,9 +631,7 @@ def gram_matrix(system: SystemHandle, n: int,
         return out
     if rule is None:
         rule = recommended_rule(system, n)
-    from .quadrature import _panel_points, _segment_edges  # shared kernels
-    edges = _segment_edges(0.0, 1.0, rule.breakpoints)
-    nodes, weights = _panel_points(edges, rule.order, 2 * rule.panels)
+    nodes, weights, _ = cell_mesh((0.0, 1.0), rule, 2 * rule.panels)
     table = eval_matrix(system, n, nodes)
     return (table * weights) @ table.T
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from ons_lab import (
     haar_boundedness_experiment,
     haar_system,
     inverse_square_root_sum,
+    kernel_section,
     lipschitz_quotient,
     pairing_split,
     partial_sum_boundedness,
@@ -212,12 +215,22 @@ class TestExtremalLipschitz:
             assert abs(split.residual) < 1e-5
 
     def test_quadrature_prefix_path(self):
-        # step system: no closed-form double antiderivative available
-        ctx = KernelContext(haar_system(), 8)
+        # step system stripped of its closed-form double antiderivative
+        ctx = KernelContext(replace(haar_system(), antideriv2=None), 8)
         f_n = extremal_lipschitz(ctx, 0.3, grid_size=256)
         assert float(np.asarray(f_n.eval(0.0))) == 0.0
         split = pairing_split(ctx, f_n, 0.3)
         assert abs(split.residual) < 1e-5
+
+    @pytest.mark.parametrize("t", [float("nan"), -0.25, 1.5])
+    def test_rejects_point_outside_unit_interval(self, t):
+        ctx = KernelContext(cosine_system(), 4)
+        f_n = extremal_lipschitz(ctx, 0.3, grid_size=64)
+        for fn in (lambda: extremal_lipschitz(ctx, t),
+                   lambda: pairing_split(ctx, f_n, t),
+                   lambda: kernel_section(ctx.system, 4, t)):
+            with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+                fn()
 
     def test_sweep_report(self):
         rows, report = extremal_pairing_sweep(cosine_system(), 0.3, (4, 8),

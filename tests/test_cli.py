@@ -71,6 +71,13 @@ class TestExitCodes:
         (["theorem3-extremal", "--grid-size", "8"], "grid_size"),
         (["lemma4", "--n", "0"], "n_max"),
         (["bessel", "--points", "0"], "points"),
+        (["theorem3-extremal", "--n-values", ","], "n_values"),
+        (["lemma3", "--n-values", ","], "n_values"),
+        (["eq11", "--n-values", ","], "n_values"),
+        (["mn-sweep", "--x", ","], "x_points"),
+        (["theorem5", "--x", ","], "x_points"),
+        (["lemma1", "--x", ","], "x_points"),
+        (["lemma4", "--x", ","], "x_points"),
     ], ids=lambda v: "_".join(v) if isinstance(v, list) else v)
     def test_invalid_sizes_are_one_line_usage_errors(self, args, key,
                                                      tmp_path, capsys):
@@ -79,6 +86,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"ons-lab: error: {key}: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("args,name", [
+        (["theorem3-extremal", "--t", "2"], "t"),
+        (["eq11", "--big-f-kernel", "cosine", "4", "2"], "x"),
+    ], ids=["theorem3-extremal", "eq11"])
+    def test_out_of_domain_points_are_one_line_usage_errors(self, args, name,
+                                                            tmp_path, capsys):
+        code, path = run_cli(args, tmp_path)
+        assert code == 1 and not path.exists()
+        err = capsys.readouterr().err
+        assert err == f"ons-lab: error: {name} must lie in [0, 1], got 2.0\n"
 
     def test_import_leaves_scipy_optimize_unloaded(self):
         # scipy.optimize is most of the package's import time; only
@@ -155,6 +173,13 @@ class TestConfigFile:
         cfg.write_text("frobnicate=1\n")
         ns = build_parser().parse_args(["mn-sweep", "--config", str(cfg)])
         with pytest.raises(InvalidConfig):
+            config_from_namespace(ns)
+
+    def test_empty_index_list_rejected(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_values=\n")
+        ns = build_parser().parse_args(["lemma3", "--config", str(cfg)])
+        with pytest.raises(InvalidConfig, match="n_values"):
             config_from_namespace(ns)
 
     def test_malformed_line_rejected(self, tmp_path):

@@ -207,28 +207,45 @@ class TestNumericAntiderivativeFallback:
                    - boundedness_functional(ctx_ref, 0.3)) < 1e-9
 
     def test_cached_rows_match_recomputation(self):
+        # the numeric prefix table against cosine's closed-form one
         ctx = KernelContext(_stripped_cosine(), 8)
-        boundedness_functional(ctx, 0.3)        # populate the mesh cache
-        nodes, _, _ = ctx._cell_mesh()
-        for k in (1, 2, 5):
-            row = ctx._mesh_g_row(k)
-            again = np.asarray(cosine_system().antideriv(k, nodes), dtype=float)
-            assert np.abs(row - again).max() < 1e-9
+        boundedness_functional(ctx, 0.3)        # populate the prefix table
+        table = ctx._prefix_table
+        assert table is not None and ctx.prefix_table() is table
+        want = KernelContext(cosine_system(), 8).prefix_table()
+        assert np.abs(table - want).max() < 1e-12
 
-    def test_closed_form_context_builds_no_rule_or_mesh(self):
+    def test_closed_form_context_builds_no_rule_or_mesh(self, monkeypatch):
+        def no_mesh(*args):
+            raise AssertionError("closed-form path built a quadrature mesh")
+
+        monkeypatch.setattr("ons_lab.kernels.cell_mesh", no_mesh)
         ctx = KernelContext(haar_system(), 64)
         for x in (0.0, 0.3, 1.0):
             boundedness_functional(ctx, x)
-        assert ctx._rule is None
-        assert ctx._mesh is None and not ctx._g_rows
+        assert ctx._rule is None and ctx._prefix_table is None
         assert ctx.rule.breakpoints            # still available on demand
 
     def test_cosine_context_builds_no_table(self):
         ctx = KernelContext(cosine_system(), 64)
         for x in (0.0, 0.3, 1.0):
             boundedness_functional(ctx, x)
-        assert ctx._prefix_table is None
-        assert ctx._rule is None and ctx._mesh is None
+        assert ctx._prefix_table is None and ctx._rule is None
+
+    @pytest.mark.parametrize("name", ["haar", "reflect(haar)"])
+    def test_numeric_sparse_rows_match_closed_form(self, name):
+        # without antideriv2 a phi(x) with zeros takes numeric rows of its
+        # nonzero entries only; the tents integrate exactly between jumps
+        closed = get_system(name)
+        stripped = replace(closed, name=f"{name}-stripped", antideriv2=None)
+        for n in (2, 7, 32, 64):
+            ctx = KernelContext(stripped, n)
+            ref = KernelContext(closed, n)
+            for x in (0.0, 0.3, 0.5, 1 / np.sqrt(2), 1.0):
+                got = _prefix_values(ctx, x)
+                assert np.abs(got - _prefix_values(ref, x)).max() < 1e-13
+            # past n = 2 every Haar phi(x) has zeros, so no table is built
+            assert (ctx._prefix_table is None) == (n > 2)
 
     @pytest.mark.parametrize("name", ["reflect(cosine)", "rademacher"])
     def test_other_full_support_systems_share_the_table(self, name):

@@ -7,9 +7,12 @@ from ons_lab import (
     InvalidInterval,
     NonFiniteIntegrand,
     QuadratureRule,
+    cell_mesh,
     cumulative_integral,
+    get_system,
     integrate,
     integrate_abs,
+    recommended_rule,
 )
 
 
@@ -126,6 +129,90 @@ class TestCumulative:
     def test_unsorted_grid_raises(self):
         with pytest.raises(InvalidInterval):
             cumulative_integral(lambda u: u, (0.5, 0.2), QuadratureRule())
+
+
+def _reference_layout(rule: QuadratureRule, panels: int):
+    """Nodes on [0, 1] as laid out segment by segment before cell_mesh."""
+    xs, ws = np.polynomial.legendre.leggauss(rule.order)
+    edges = np.array([0.0, *[p for p in rule.breakpoints if 0.0 < p < 1.0], 1.0])
+    lo = np.repeat(edges[:-1], panels)
+    width = np.repeat(np.diff(edges), panels) / panels
+    lo = lo + width * np.tile(np.arange(panels), len(edges) - 1)
+    mid = lo + width / 2
+    half = width / 2
+    return ((mid[:, None] + half[:, None] * xs[None, :]).ravel(),
+            (half[:, None] * ws[None, :]).ravel())
+
+
+class TestCellMesh:
+    @pytest.mark.parametrize("rule", [
+        QuadratureRule(),
+        QuadratureRule(order=4, breakpoints=(0.0, 0.3, 0.5, 1.0)),
+        recommended_rule(get_system("haar"), 64),
+        recommended_rule(get_system("reflect2(cosine)"), 16),
+    ], ids=["plain", "edge-breakpoints", "haar", "reflect2-cosine"])
+    @pytest.mark.parametrize("panels", [1, 2, 5, 32])
+    def test_unit_interval_matches_segment_layout(self, rule, panels):
+        nodes, weights, starts = cell_mesh((0.0, 1.0), rule, panels)
+        want_nodes, want_weights = _reference_layout(rule, panels)
+        assert np.array_equal(nodes, want_nodes)
+        assert np.array_equal(weights, want_weights)
+        assert starts.tolist() == [0]
+
+    def test_starts_mark_cells(self):
+        rule = QuadratureRule(order=2, breakpoints=(0.25, 0.5))
+        nodes, _, starts = cell_mesh((0.0, 0.0, 0.5, 0.5, 1.0), rule, 3)
+        # segments [0, .25], [.25, .5], [.5, 1]; the repeated points make
+        # cells 0 and 2 empty
+        assert starts.tolist() == [0, 0, 12, 12]
+        assert len(nodes) == 18
+
+    @pytest.mark.parametrize("grid", [(0.5, 0.2), (-0.1, 0.5), (0.0, 1.5),
+                                      (0.0, float("nan"), 1.0), (0.5,)])
+    def test_bad_grid_raises(self, grid):
+        with pytest.raises(InvalidInterval):
+            cell_mesh(grid, QuadratureRule(), 1)
+
+
+def _per_cell_cumulative(f, grid, rule):
+    """Reference: one integrate call per cell of (0, *grid), prefix-summed."""
+    cells = np.concatenate([[0.0], grid])
+    return np.cumsum([integrate(f, rule, lo, hi).value
+                      for lo, hi in zip(cells[:-1], cells[1:])])
+
+
+_ANCHORS = (0.0, 0.125, 0.25, 0.3, 0.5, 0.75, 1.0)
+
+
+@st.composite
+def _cumulative_case(draw):
+    """A sorted grid with repeats and a rule with or without breakpoints."""
+    pts = draw(st.lists(st.one_of(st.sampled_from(_ANCHORS),
+                                  st.floats(0.0, 1.0)),
+                        min_size=1, max_size=12))
+    if draw(st.booleans()):
+        pts.append(0.0)                  # a zero-width first cell
+    bps = draw(st.one_of(
+        st.just(()),
+        st.lists(st.sampled_from(_ANCHORS[1:-1] + (0.625,)), unique=True,
+                 min_size=1).map(sorted).map(tuple)))
+    rule = QuadratureRule(order=draw(st.sampled_from([2, 5, 16])),
+                          panels=draw(st.integers(1, 3)), breakpoints=bps)
+    return sorted(pts), rule
+
+
+def _jumpy(u):
+    return np.cos(7.0 * u) + np.where(u < 0.5, u * u, -2.0) + (u >= 0.3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_cumulative_case())
+def test_cumulative_matches_per_cell_integrate(case):
+    grid, rule = case
+    got = cumulative_integral(_jumpy, grid, rule)
+    want = _per_cell_cumulative(_jumpy, grid, rule)
+    assert got.shape == (len(grid),)
+    assert np.abs(got - want).max() <= 1e-13
 
 
 class TestIntegrateAbs:

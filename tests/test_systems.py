@@ -213,6 +213,31 @@ class TestCompressReflect:
         G = gram_matrix(once, 16)
         assert np.abs(G - np.eye(16)).max() < 1e-12
 
+    @pytest.mark.parametrize("name", ["cosine", "haar"])
+    def test_halves_follow_defining_formulas(self, name):
+        # the point 1/2 belongs to the right half; (k, u) tables broadcast
+        base, once = get_system(name), get_system(f"reflect({name})")
+        a, a2 = base.antideriv, base.antideriv2
+        us = np.array([0.0, 0.1, 0.25, 0.4999, 0.5, 0.6, 0.75, 0.9, 1.0])
+        ks = np.array([1, 2, 5])
+        tables = [np.asarray(fn(ks[:, None], us[None, :]))
+                  for fn in (once.eval, once.antideriv, once.antideriv2)]
+        for r, k in enumerate(ks):
+            for j, u in enumerate(us):
+                if u < 0.5:
+                    want = (base.eval(k, 2 * u), 0.5 * a(k, 2 * u),
+                            0.25 * a2(k, 2 * u))
+                else:
+                    v = 2.0 * (u - 0.5)
+                    want = (-base.eval(k, v), 0.5 * a(k, 1.0) - 0.5 * a(k, v),
+                            0.25 * a2(k, 1.0) + 0.5 * a(k, 1.0) * (u - 0.5)
+                            - 0.25 * a2(k, v))
+                got = (once.eval(k, u), once.antideriv(k, u),
+                       once.antideriv2(k, u))
+                assert got == pytest.approx(want, abs=1e-15)
+                assert [t[r, j] for t in tables] == pytest.approx(want,
+                                                                  abs=1e-15)
+
     def test_breakpoints_contain_midpoint_and_scaled(self):
         once = compress_reflect(haar_system())
         assert 0.5 in once.breakpoints(2)
