@@ -69,7 +69,6 @@ from .quadrature import (
     cumulative_integral,
     integrate,
     integrate_abs,
-    integrate_value,
 )
 from .systems import (
     FunctionSpec,

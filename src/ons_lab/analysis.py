@@ -77,13 +77,18 @@ def growth_report(label: str, indices: Sequence[int], values: Sequence[float],
     Bounded requires both a flat log-slope and a running maximum that
     rises less than ``plateau_rise`` over the last quarter of the range;
     a steep log-slope classifies as growing; anything else, including
-    sequences too short to fit, is inconclusive.
+    sequences too short to fit, is inconclusive.  A NaN or infinite value
+    raises :class:`InvalidConfig`: no classification describes it.
     """
     th = thresholds or ClassificationThresholds()
     idx = tuple(int(i) for i in indices)
     vals = np.asarray(values, dtype=float)
     if len(idx) != len(vals) or len(idx) == 0:
         raise ValueError("indices and values must be equal-length and non-empty")
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise InvalidConfig(f"{label}: non-finite value {vals[bad[0]]} at "
+                            f"n={idx[bad[0]]}")
     rm = np.maximum.accumulate(vals)
 
     if len(idx) >= 4:

@@ -5,13 +5,23 @@ Every command writes a header row plus data rows (CSV) or a single object
 significant digits so values round-trip exactly; repeated runs with the
 same configuration produce byte-identical output.
 
-Exit codes: 0 on success, 1 on a usage error (unknown name, invalid
-configuration), 2 when a command's invariant check fails (for example a
-Gram matrix off identity beyond tolerance).
+Each command is one entry of ``REGISTRY``: its handler, its column doc,
+and the flags it reads with their defaults.  A command accepts only those
+flags, plus ``--config``, ``--output`` and ``--format``; any other flag,
+or a config-file key it does not read, is a usage error.
+``ons-lab <command> --help`` lists them.  ``theorem5`` and ``theorem6`` are
+``mn-sweep`` with the system fixed to cosine and Haar; they exit 2 when a
+point classifies as growing.
 
-Flag values override config-file entries, which override built-in
+Exit codes: 0 on success, 1 on a usage error (unknown flag or name,
+invalid configuration) with a one-line message, 2 when a command's
+invariant check fails (for example a Gram matrix off identity beyond
+tolerance).
+
+Flag values override config-file entries, which override the registry
 defaults.  Config files are flat ``key=value`` text; keys match flag
-names with either dashes or underscores.
+names with either dashes or underscores, and a flag that takes several
+values takes them separated by spaces.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ import io
 import json
 import sys
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -30,23 +40,79 @@ from . import analysis, fourier, kernels, systems
 from .analysis import ClassificationThresholds
 from .errors import InvalidConfig, OnsLabError
 
-COMMANDS = (
-    "gram", "bessel", "lemma1", "lemma3", "lemma4", "eq11", "mn-sweep",
-    "partial-sums", "e-phi", "theorem2", "theorem3-extremal",
-    "theorem4-moments", "theorem5", "theorem6",
-)
-
 #: Systems swept by commands that default to the whole catalog.
 CATALOG_SYSTEMS = ("cosine", "haar", "rademacher", "reflect(cosine)",
                    "reflect2(cosine)", "reflect(haar)")
 
-_X_GRID_DEFAULT = (0.0, 0.3, 0.7071067811865476, 1.0)
-_NINE_POINT_GRID = tuple(i / 8 for i in range(9))
+
+def _list_of(kind):
+    """Parser of a comma-separated list of ``kind`` values."""
+
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(p) for p in str(text).split(",") if p != "")
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not a comma-separated {kind.__name__} list: {text!r}")
+    return parse
+
+
+@dataclass(frozen=True)
+class Flag:
+    """How a flag is parsed, on the command line and in config files."""
+
+    type: Callable
+    help: str
+    nargs: Optional[int] = None
+    choices: Optional[tuple] = None
+    metavar: Optional[tuple] = None
+
+
+#: Every flag a command can read.  The order is that of the keys in the
+#: JSON ``config.extras`` block.
+FLAGS = {
+    "system": Flag(str, "system name, e.g. cosine, haar, reflect2(cosine)"),
+    "function": Flag(str, "catalog function name"),
+    "x": Flag(_list_of(float), "comma-separated evaluation points in [0, 1]"),
+    "n_max": Flag(int, "largest index in sweeps"),
+    "output": Flag(str, "output file path (default stdout)"),
+    "format": Flag(str, "output format", choices=("csv", "json")),
+    "n": Flag(int, "single index / matrix size"),
+    "n_values": Flag(_list_of(int), "comma-separated index list"),
+    "points": Flag(int, "grid points for the square-sum scan"),
+    "check_tol": Flag(float, "the command's pass/fail tolerance"),
+    "halving_tol": Flag(float, "tolerance of the coefficient-halving law"),
+    "t": Flag(float, "pairing point in [0, 1]"),
+    "grid_size": Flag(int, "grid intervals for the Lipschitz quotient"),
+    "base": Flag(str, "base system name"),
+    "big_f": Flag(str, "catalog name for the paired factor"),
+    "big_f_kernel": Flag(str, "use an antiderivative-kernel section as the "
+                              "paired factor", nargs=3,
+                         metavar=("SYSTEM", "N", "X")),
+    "eq11_upper": Flag(str, "which local-sum variant the summary reports",
+                       choices=("n", "n-1")),
+    "slope_bounded": Flag(float, "largest log-slope classified bounded"),
+    "slope_growing": Flag(float, "smallest log-slope classified growing"),
+    "plateau_rise": Flag(float, "largest relative late rise of the running "
+                                "maximum classified bounded"),
+}
+
+#: Flags with an ExperimentConfig field of their own, and tolerance flags
+#: with their ``tolerances`` key; every other flag is an ``extras`` key.
+_FIELD_OF = {"system": "system", "function": "function", "x": "x_points",
+             "n_max": "n_max", "output": "output", "format": "fmt"}
+_TOLERANCE_OF = {"check_tol": "check", "halving_tol": "halving"}
+_EXTRAS = tuple(k for k in FLAGS
+                if k not in _FIELD_OF and k not in _TOLERANCE_OF)
 
 
 @dataclass
 class ExperimentConfig:
-    """Declarative description of one experiment run."""
+    """Declarative description of one experiment run.
+
+    ``extras`` holds the command's other flags; one left out takes its
+    registry default.  ``tolerances`` holds only explicit tolerances.
+    """
 
     command: str
     system: str = "cosine"
@@ -59,8 +125,21 @@ class ExperimentConfig:
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.command not in COMMANDS:
+        entry = REGISTRY.get(self.command)
+        if entry is None:
             raise InvalidConfig(f"command: unknown command {self.command!r}")
+        extras = [k for k in _EXTRAS if k in entry.flags]
+        unread = (set(self.extras) - set(extras)) | (
+            {f"{k}_tol" for k in self.tolerances} - set(entry.flags))
+        if unread:
+            raise InvalidConfig(f"{min(unread)}: not an extra or tolerance "
+                                f"that {self.command} reads")
+        if entry.system is not None:
+            self.system = entry.system
+        if self.function is None:
+            self.function = entry.flags.get("function")
+        merged = {**entry.flags, **self.extras}
+        self.extras = {k: merged[k] for k in extras if merged[k] is not None}
         if self.fmt not in ("csv", "json"):
             raise InvalidConfig(f"format: must be csv or json, got {self.fmt!r}")
         if not self.x_points:
@@ -82,18 +161,6 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
-def _jsonable(v):
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (tuple, list)):
-        return [_jsonable(x) for x in v]
-    if isinstance(v, dict):
-        return {k: _jsonable(x) for k, x in v.items()}
-    return v
-
-
 def _render(config: ExperimentConfig, header, rows, summary) -> str:
     if config.fmt == "csv":
         buf = io.StringIO()
@@ -103,39 +170,36 @@ def _render(config: ExperimentConfig, header, rows, summary) -> str:
             writer.writerow([_fmt_cell(v) for v in row])
         return buf.getvalue()
     payload = {
-        "config": {
-            "command": config.command,
-            "system": config.system,
-            "function": config.function,
-            "x_points": list(config.x_points),
-            "n_max": config.n_max,
-            "tolerances": _jsonable(config.tolerances),
-            "output": config.output,
-            "format": config.fmt,
-            "extras": _jsonable(config.extras),
-        },
-        "rows": [dict(zip(header, map(_jsonable, row))) for row in rows],
-        "summary": _jsonable(summary),
+        "config": {("format" if k == "fmt" else k): v
+                   for k, v in vars(config).items()},
+        "rows": [dict(zip(header, row)) for row in rows],
+        "summary": summary,
     }
-    return json.dumps(payload, indent=2) + "\n"
+    # numpy scalars that are not Python numbers already become their item()
+    return json.dumps(payload, indent=2, default=np.generic.item) + "\n"
 
 
 def _emit(config: ExperimentConfig, header, rows, summary) -> None:
     text = _render(config, header, rows, summary)
     if config.output:
-        with open(config.output, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(config.output, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidConfig(f"output: {exc}") from None
     else:
         sys.stdout.write(text)
 
 
+def _tolerance(config: ExperimentConfig, name: str):
+    """The tolerance given for ``name``, else the command's default."""
+    return config.tolerances.get(
+        name, REGISTRY[config.command].flags[f"{name}_tol"])
+
+
 def _thresholds(config: ExperimentConfig) -> ClassificationThresholds:
-    ex = config.extras
     return ClassificationThresholds(
-        slope_bounded=ex.get("slope_bounded", 0.05),
-        slope_growing=ex.get("slope_growing", 0.5),
-        plateau_rise=ex.get("plateau_rise", 0.01),
-    )
+        **{k: config.extras[k] for k in _THRESHOLDS})
 
 
 def _report_summary(report) -> dict:
@@ -144,6 +208,16 @@ def _report_summary(report) -> dict:
         "bound_estimate": report.bound_estimate,
         "slope_log": report.slope_log,
     }
+
+
+def _sweep_rows(reports):
+    """Rows ``(x, n, value, running_max)`` and summary of (x, report) pairs."""
+    rows, per_x = [], []
+    for x, rep in reports:
+        rows.extend((float(x), i, v, m) for i, v, m
+                    in zip(rep.indices, rep.values, rep.running_max))
+        per_x.append({"x": float(x), **_report_summary(rep)})
+    return rows, {"reports": per_x}
 
 
 def _require_cl(spec):
@@ -155,31 +229,31 @@ def _require_cl(spec):
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (header, rows, summary, exit_code)
+# command handlers: each returns (rows, summary, exit_code)
 # ---------------------------------------------------------------------------
 
 def _run_gram(config: ExperimentConfig):
     system = systems.get_system(config.system)
-    n = config.extras.get("n", 8)
-    tol = config.tolerances.get("check")
+    n = config.extras["n"]
+    tol = _tolerance(config, "check")
     if tol is None:
-        tol = 1e-12 if system.piecewise_constant else 1e-8
+        tol = _GRAM_TOL[system.piecewise_constant]
     matrix = systems.gram_matrix(system, n)
     err = float(np.abs(matrix - np.eye(n)).max())
     rows = [(j + 1, k + 1, matrix[j, k]) for j in range(n) for k in range(n)]
     summary = {"system": system.name, "n": n, "max_abs_error": err,
                "tolerance": tol, "pass": err <= tol}
-    return ("j", "k", "value"), rows, summary, (0 if err <= tol else 2)
+    return rows, summary, (0 if err <= tol else 2)
 
 
 def _run_bessel(config: ExperimentConfig):
     names = (CATALOG_SYSTEMS if config.system == "all"
              else (config.system,))
-    points = config.extras.get("points", 33)
+    points = config.extras["points"]
     if points < 1:
         raise InvalidConfig(f"points: the square-sum scan needs points >= 1, "
                             f"got {points}")
-    tol = config.tolerances.get("check", 1e-8)
+    tol = _tolerance(config, "check")
     us = np.linspace(0.0, 1.0, points)
     rows, worst = [], -np.inf
     for name in names:
@@ -190,27 +264,23 @@ def _run_bessel(config: ExperimentConfig):
     ok = worst <= 1.0 + tol
     summary = {"n_max": config.n_max, "max_square_sum": worst,
                "bound": 1.0 + tol, "pass": ok}
-    return ("system", "u", "sum_g_sq"), rows, summary, (0 if ok else 2)
+    return rows, summary, (0 if ok else 2)
 
 
 def _run_lemma1(config: ExperimentConfig):
     system = systems.get_system(config.system)
     th = _thresholds(config)
-    rows, per_x = [], []
-    for x in config.x_points:
-        rep = analysis.square_sum_ratio(system, x, config.n_max, th)
-        rows.extend((float(x), i, v, m) for i, v, m
-                    in zip(rep.indices, rep.values, rep.running_max))
-        per_x.append({"x": float(x), **_report_summary(rep)})
-    return ("x", "n", "value", "running_max"), rows, {"reports": per_x}, 0
+    rows, summary = _sweep_rows(
+        (x, analysis.square_sum_ratio(system, x, config.n_max, th))
+        for x in config.x_points)
+    return rows, summary, 0
 
 
 def _run_lemma3(config: ExperimentConfig):
     system = systems.get_system(config.system)
-    ns = config.extras.get("n_values", (4, 16, 64))
-    tol = config.tolerances.get("check", 1e-8)
+    tol = _tolerance(config, "check")
     rows, worst = [], -np.inf
-    for n in ns:
+    for n in config.extras["n_values"]:
         ctx = kernels.KernelContext(system, n)
         for x in config.x_points:
             phi = systems.system_values(system, n, x)
@@ -221,15 +291,14 @@ def _run_lemma3(config: ExperimentConfig):
                 rows.append((n, float(x), i, lhs, rhs))
     ok = worst <= tol
     summary = {"worst_slack": worst, "tolerance": tol, "pass": ok}
-    return ("n", "x", "i", "cell_abs_integral", "bound"), rows, summary, (
-        0 if ok else 2)
+    return rows, summary, (0 if ok else 2)
 
 
 def _run_lemma4(config: ExperimentConfig):
     system = systems.get_system(config.system)
-    f = _require_cl(systems.get_function(config.function or "half-square"))
-    n = config.extras.get("n", 16)
-    tol = config.tolerances.get("check", 1e-6)
+    f = _require_cl(systems.get_function(config.function))
+    n = config.extras["n"]
+    tol = _tolerance(config, "check")
     table = fourier.coefficients(system, f, n)
     rows, worst = [], 0.0
     for x in config.x_points:
@@ -240,28 +309,30 @@ def _run_lemma4(config: ExperimentConfig):
     ok = worst <= tol
     summary = {"system": system.name, "function": f.name, "n": n,
                "max_abs_residual": worst, "tolerance": tol, "pass": ok}
-    return ("x", "partial_sum", "boundary_term", "derivative_term",
-            "residual"), rows, summary, (0 if ok else 2)
+    return rows, summary, (0 if ok else 2)
 
 
 def _run_eq11(config: ExperimentConfig):
-    f = systems.get_function(config.function or "half-square")
+    f = systems.get_function(config.function)
     if f.deriv is None:
         raise InvalidConfig(f"function: {f.name!r} has no derivative")
     kernel_spec = config.extras.get("big_f_kernel")
     if kernel_spec is not None:
         sys_name, k_n, k_x = kernel_spec
-        big_f = fourier.kernel_section(systems.get_system(sys_name),
-                                       int(k_n), float(k_x))
-        big_f_name = f"kernel[{sys_name}, n={int(k_n)}, x={float(k_x):g}]"
+        try:
+            k_n, k_x = int(k_n), float(k_x)
+        except ValueError:
+            raise InvalidConfig(f"big_f_kernel: N must be an integer and X a "
+                                f"number, got {k_n!r} {k_x!r}") from None
+        big_f = fourier.kernel_section(systems.get_system(sys_name), k_n, k_x)
+        big_f_name = f"kernel[{sys_name}, n={k_n}, x={k_x:g}]"
     else:
-        spec = systems.get_function(config.extras.get("big_f", "one"))
+        spec = systems.get_function(config.extras["big_f"])
         big_f, big_f_name = spec, spec.name
-    ns = config.extras.get("n_values", (2, 4, 8, 16, 32))
-    selected = config.extras.get("eq11_upper", "n-1")
+    selected = config.extras["eq11_upper"]
     rows = []
     worst_sel = 0.0
-    for n in ns:
+    for n in config.extras["n_values"]:
         full = fourier.summation_identity(f, big_f, n, "n")
         printed = fourier.summation_identity(f, big_f, n, "n-1")
         sel_res = printed.residual if selected == "n-1" else full.residual
@@ -274,58 +345,48 @@ def _run_eq11(config: ExperimentConfig):
                "note": "the decomposition is exact when the local sum runs "
                        "over all n cells; stopping at n-1 leaves an O(1/n) "
                        "remainder, reported side by side"}
-    return ("n", "lhs", "rhs_upper_n", "rhs_upper_n_minus_1",
-            "residual_upper_n", "residual_upper_n_minus_1"), rows, summary, 0
-
-
-def _sweep_rows(reports: dict):
-    rows, per_x = [], []
-    for x, rep in reports.items():
-        rows.extend((float(x), i, v, m) for i, v, m
-                    in zip(rep.indices, rep.values, rep.running_max))
-        per_x.append({"x": float(x), **_report_summary(rep)})
-    return rows, per_x
+    return rows, summary, 0
 
 
 def _run_mn_sweep(config: ExperimentConfig):
     system = systems.get_system(config.system)
     reports = analysis.boundedness_experiment(system, config.x_points,
                                               config.n_max, _thresholds(config))
-    rows, per_x = _sweep_rows(reports)
-    return ("x", "n", "m_n", "running_max"), rows, {"reports": per_x}, 0
+    rows, summary = _sweep_rows(reports.items())
+    if REGISTRY[config.command].system is None:
+        return rows, summary, 0
+    # theorem5 and theorem6 claim M_n(x) bounded for their fixed system
+    ok = all(rep.classification != "growing" for rep in reports.values())
+    return rows, {"system": config.system, **summary}, (0 if ok else 2)
 
 
 def _run_partial_sums(config: ExperimentConfig):
     system = systems.get_system(config.system)
-    f = systems.get_function(config.function or "half-square")
+    f = systems.get_function(config.function)
     table = fourier.coefficients(system, f, config.n_max)
     rows = []
     for x in config.x_points:
         sums = fourier.partial_sum_sweep(table, x)
         rows.extend((float(x), n, s) for n, s in enumerate(sums, start=1))
     summary = {"system": system.name, "function": f.name, "n_max": config.n_max}
-    return ("x", "n", "partial_sum"), rows, summary, 0
+    return rows, summary, 0
 
 
 def _run_e_phi(config: ExperimentConfig):
     system = systems.get_system(config.system)
-    f = systems.get_function(config.function or "half-square")
+    f = systems.get_function(config.function)
     table = fourier.coefficients(system, f, config.n_max)
     th = _thresholds(config)
-    rows, per_x = [], []
-    for x in config.x_points:
-        rep = analysis.partial_sum_boundedness(system, f, x, config.n_max,
-                                               table=table, thresholds=th)
-        rows.extend((float(x), i, v, m) for i, v, m
-                    in zip(rep.indices, rep.values, rep.running_max))
-        per_x.append({"x": float(x), **_report_summary(rep)})
-    return ("x", "n", "abs_partial_sum", "running_max"), rows, {
-        "reports": per_x}, 0
+    rows, summary = _sweep_rows(
+        (x, analysis.partial_sum_boundedness(system, f, x, config.n_max,
+                                             table=table, thresholds=th))
+        for x in config.x_points)
+    return rows, summary, 0
 
 
 def _run_theorem2(config: ExperimentConfig):
     system = systems.get_system(config.system)
-    f = _require_cl(systems.get_function(config.function or "cos-bump"))
+    f = _require_cl(systems.get_function(config.function))
     cases = analysis.boundedness_transfer(system, f, config.x_points,
                                           config.n_max, _thresholds(config))
     rows = [(c.x,
@@ -337,19 +398,16 @@ def _run_theorem2(config: ExperimentConfig):
             for c in cases]
     summary = {"system": system.name, "function": f.name,
                "all_consistent": all(c.consistent for c in cases)}
-    return ("x", "constant_class", "identity_class", "functional_class",
-            "target_class", "hypothesis_bounded", "conclusion_bounded",
-            "consistent"), rows, summary, 0
+    return rows, summary, 0
 
 
 def _run_theorem3_extremal(config: ExperimentConfig):
     system = systems.get_system(config.system)
-    t = config.extras.get("t", 0.3)
-    ns = config.extras.get("n_values", (4, 8, 16))
-    grid_size = config.extras.get("grid_size", 1024)
-    tol = config.tolerances.get("check", 1e-5)
+    t = config.extras["t"]
+    grid_size = config.extras["grid_size"]
+    tol = _tolerance(config, "check")
     triples, report = analysis.extremal_pairing_sweep(
-        system, t, ns, grid_size, _thresholds(config))
+        system, t, config.extras["n_values"], grid_size, _thresholds(config))
     rows, worst_split, worst_lip = [], 0.0, 0.0
     for n, f_n, split in triples:
         lip = systems.lipschitz_quotient(f_n.eval, samples=grid_size + 1)
@@ -365,18 +423,16 @@ def _run_theorem3_extremal(config: ExperimentConfig):
                "max_split_residual": worst_split,
                "max_lipschitz_quotient": worst_lip,
                "tolerance": tol, "pass": ok}
-    return ("n", "pairing", "boundary_sum", "local_sum", "tail_term",
-            "split_residual", "lipschitz_quotient", "value_at_0"), rows, \
-        summary, (0 if ok else 2)
+    return rows, summary, (0 if ok else 2)
 
 
 def _run_theorem4_moments(config: ExperimentConfig):
-    base = systems.get_system(config.extras.get("base", config.system))
+    base = systems.get_system(config.extras["base"])
     once = systems.compress_reflect(base)
     twice = systems.compress_reflect(once)
-    n_top = config.extras.get("n", 32)
-    tol = config.tolerances.get("check", 1e-9)
-    halving_tol = config.tolerances.get("halving", 1e-8)
+    n_top = config.extras["n"]
+    tol = _tolerance(config, "check")
+    halving_tol = _tolerance(config, "halving")
 
     one = systems.get_function("one")
     ident = systems.get_function("id")
@@ -405,49 +461,103 @@ def _run_theorem4_moments(config: ExperimentConfig):
                 "halve relative to the once-reflected system rather than "
                 "vanishing outright",
     }
-    return ("n", "c_q", "c_p"), rows, summary, (0 if ok else 2)
+    return rows, summary, (0 if ok else 2)
 
 
-def _run_theorem5(config: ExperimentConfig):
-    reports = analysis.cosine_boundedness_experiment(
-        config.x_points, config.n_max, _thresholds(config))
-    rows, per_x = _sweep_rows(reports)
-    ok = all(rep.classification != "growing" for rep in reports.values())
-    return ("x", "n", "m_n", "running_max"), rows, {
-        "system": "cosine", "reports": per_x}, (0 if ok else 2)
+# ---------------------------------------------------------------------------
+# the command registry
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Command:
+    """One command: handler, output columns, and the flags it reads.
+
+    ``flags`` maps each flag the command reads to its default; a ``None``
+    default means the flag is unset unless given.  ``system`` fixes the
+    system of a command that has no ``--system``.
+    """
+
+    handler: Callable
+    columns: tuple
+    flags: dict
+    system: Optional[str] = None
+    note: str = ""
+
+    @property
+    def doc(self) -> str:
+        return f"columns: {', '.join(self.columns)}{self.note}"
+
+    @property
+    def reads(self) -> dict:
+        """Every flag the command accepts, with its default."""
+        return {**self.flags, "output": None, "format": "csv"}
 
 
-def _run_theorem6(config: ExperimentConfig):
-    reports = analysis.haar_boundedness_experiment(
-        config.x_points, config.n_max, _thresholds(config))
-    rows, per_x = _sweep_rows(reports)
-    ok = all(rep.classification != "growing" for rep in reports.values())
-    return ("x", "n", "m_n", "running_max"), rows, {
-        "system": "haar", "reports": per_x}, (0 if ok else 2)
+_THRESHOLDS = {k: getattr(ClassificationThresholds, k)
+               for k in ("slope_bounded", "slope_growing", "plateau_rise")}
+_SWEEP = {"system": "cosine", "x": (0.3,), "n_max": 256, **_THRESHOLDS}
+_THEOREM_SWEEP = {"x": (0.0, 0.3, 0.7071067811865476, 1.0), "n_max": 512,
+                  **_THRESHOLDS}
+_SWEEP_COLUMNS = ("x", "n", "m_n", "running_max")
+#: gram's check_tol when none is given, by ``system.piecewise_constant``
+_GRAM_TOL = {True: 1e-12, False: 1e-8}
 
-
-_HANDLERS = {
-    "gram": _run_gram,
-    "bessel": _run_bessel,
-    "lemma1": _run_lemma1,
-    "lemma3": _run_lemma3,
-    "lemma4": _run_lemma4,
-    "eq11": _run_eq11,
-    "mn-sweep": _run_mn_sweep,
-    "partial-sums": _run_partial_sums,
-    "e-phi": _run_e_phi,
-    "theorem2": _run_theorem2,
-    "theorem3-extremal": _run_theorem3_extremal,
-    "theorem4-moments": _run_theorem4_moments,
-    "theorem5": _run_theorem5,
-    "theorem6": _run_theorem6,
+REGISTRY = {
+    "gram": Command(_run_gram, ("j", "k", "value"),
+                    {"system": "cosine", "n": 8, "check_tol": None},
+                    note="; value is the inner product of elements j and k"),
+    "bessel": Command(_run_bessel, ("system", "u", "sum_g_sq"),
+                      {"system": "all", "n_max": 256, "points": 33,
+                       "check_tol": 1e-8}),
+    "lemma1": Command(_run_lemma1, ("x", "n", "value", "running_max"), _SWEEP),
+    "lemma3": Command(_run_lemma3,
+                      ("n", "x", "i", "cell_abs_integral", "bound"),
+                      {"system": "cosine", "x": (0.0, 0.3, 0.7071067811865476),
+                       "n_values": (4, 16, 64), "check_tol": 1e-8}),
+    "lemma4": Command(_run_lemma4, ("x", "partial_sum", "boundary_term",
+                                    "derivative_term", "residual"),
+                      {"system": "cosine", "function": "half-square",
+                       "x": tuple(i / 8 for i in range(9)), "n": 16,
+                       "check_tol": 1e-6}),
+    "eq11": Command(_run_eq11, ("n", "lhs", "rhs_upper_n",
+                                "rhs_upper_n_minus_1", "residual_upper_n",
+                                "residual_upper_n_minus_1"),
+                    {"function": "half-square", "n_values": (2, 4, 8, 16, 32),
+                     "big_f": "one", "big_f_kernel": None,
+                     "eq11_upper": "n-1"}),
+    "mn-sweep": Command(_run_mn_sweep, _SWEEP_COLUMNS, _SWEEP),
+    "partial-sums": Command(_run_partial_sums, ("x", "n", "partial_sum"),
+                            {"system": "cosine", "function": "half-square",
+                             "x": (0.3,), "n_max": 32}),
+    "e-phi": Command(_run_e_phi, ("x", "n", "abs_partial_sum", "running_max"),
+                     {**_SWEEP, "function": "half-square"}),
+    "theorem2": Command(_run_theorem2, (
+        "x", "constant_class", "identity_class", "functional_class",
+        "target_class", "hypothesis_bounded", "conclusion_bounded",
+        "consistent"), {**_SWEEP, "function": "cos-bump"}),
+    "theorem3-extremal": Command(_run_theorem3_extremal, (
+        "n", "pairing", "boundary_sum", "local_sum", "tail_term",
+        "split_residual", "lipschitz_quotient", "value_at_0"),
+        {"system": "cosine", "t": 0.3, "n_values": (4, 8, 16),
+         "grid_size": 1024, "check_tol": 1e-5, **_THRESHOLDS}),
+    "theorem4-moments": Command(
+        _run_theorem4_moments, ("n", "c_q", "c_p"),
+        {"base": "cosine", "n": 32, "check_tol": 1e-9, "halving_tol": 1e-8},
+        note="; mean and first moment of the twice-reflected system"),
+    "theorem5": Command(_run_mn_sweep, _SWEEP_COLUMNS, _THEOREM_SWEEP,
+                        system="cosine"),
+    "theorem6": Command(_run_mn_sweep, _SWEEP_COLUMNS, _THEOREM_SWEEP,
+                        system="haar"),
 }
+
+COMMANDS = tuple(REGISTRY)
 
 
 def run(config: ExperimentConfig) -> int:
     """Execute one experiment; write its output; return the exit code."""
-    header, rows, summary, code = _HANDLERS[config.command](config)
-    _emit(config, header, rows, summary)
+    entry = REGISTRY[config.command]
+    rows, summary, code = entry.handler(config)
+    _emit(config, entry.columns, rows, summary)
     return code
 
 
@@ -456,199 +566,84 @@ def run(config: ExperimentConfig) -> int:
 # ---------------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
-    """Argument parser that exits with code 1 on usage errors."""
+    """Argument parser that exits with code 1 and one line on usage errors."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _float_tuple(text: str) -> tuple:
-    try:
-        return tuple(float(p) for p in str(text).split(",") if p != "")
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: "
-                                         f"{text!r}")
-
-
-def _int_tuple(text: str) -> tuple:
-    try:
-        return tuple(int(p) for p in str(text).split(",") if p != "")
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated int list: "
-                                         f"{text!r}")
-
-
-_CONVERTERS = {
-    "system": str, "function": str, "x": _float_tuple, "n_max": int,
-    "output": str, "format": str, "n": int, "n_values": _int_tuple,
-    "points": int, "check_tol": float, "halving_tol": float, "t": float,
-    "grid_size": int, "base": str, "big_f": str, "eq11_upper": str,
-    "slope_bounded": float, "slope_growing": float, "plateau_rise": float,
-}
-
-_COMMON_DEFAULTS = {"system": "cosine", "function": None, "x": (0.3,),
-                    "n_max": 256, "output": None, "format": "csv",
-                    "check_tol": None, "halving_tol": None,
-                    "slope_bounded": 0.05, "slope_growing": 0.5,
-                    "plateau_rise": 0.01}
-
-_COMMAND_DEFAULTS = {
-    "gram": {"n": 8},
-    "bessel": {"system": "all", "points": 33},
-    "lemma1": {},
-    "lemma3": {"x": (0.0, 0.3, 0.7071067811865476), "n_values": (4, 16, 64)},
-    "lemma4": {"function": "half-square", "x": _NINE_POINT_GRID, "n": 16},
-    "eq11": {"function": "half-square", "big_f": "one",
-             "n_values": (2, 4, 8, 16, 32), "eq11_upper": "n-1"},
-    "mn-sweep": {},
-    "partial-sums": {"function": "half-square", "n_max": 32},
-    "e-phi": {"function": "half-square"},
-    "theorem2": {"function": "cos-bump"},
-    "theorem3-extremal": {"t": 0.3, "n_values": (4, 8, 16),
-                          "grid_size": 1024},
-    "theorem4-moments": {"base": "cosine", "n": 32},
-    "theorem5": {"x": _X_GRID_DEFAULT, "n_max": 512},
-    "theorem6": {"x": _X_GRID_DEFAULT, "n_max": 512},
-}
-
-_COLUMN_DOCS = {
-    "gram": "columns: j, k, value (inner product of elements j and k)",
-    "bessel": "columns: system, u, sum_g_sq",
-    "lemma1": "columns: x, n, value, running_max",
-    "lemma3": "columns: n, x, i, cell_abs_integral, bound",
-    "lemma4": "columns: x, partial_sum, boundary_term, derivative_term, "
-              "residual",
-    "eq11": "columns: n, lhs, rhs_upper_n, rhs_upper_n_minus_1, "
-            "residual_upper_n, residual_upper_n_minus_1",
-    "mn-sweep": "columns: x, n, m_n, running_max",
-    "partial-sums": "columns: x, n, partial_sum",
-    "e-phi": "columns: x, n, abs_partial_sum, running_max",
-    "theorem2": "columns: x, constant_class, identity_class, "
-                "functional_class, target_class, hypothesis_bounded, "
-                "conclusion_bounded, consistent",
-    "theorem3-extremal": "columns: n, pairing, boundary_sum, local_sum, "
-                         "tail_term, split_residual, lipschitz_quotient, "
-                         "value_at_0",
-    "theorem4-moments": "columns: n, c_q (mean), c_p (first moment), both "
-                        "for the twice-reflected system",
-    "theorem5": "columns: x, n, m_n, running_max",
-    "theorem6": "columns: x, n, m_n, running_max",
-}
-
-
-def _add_option(sub, flag: str, **kwargs):
-    sub.add_argument(flag, default=argparse.SUPPRESS, **kwargs)
-
-
 def build_parser() -> _Parser:
-    parser = _Parser(prog="ons-lab",
+    parser = _Parser(prog="ons-lab", allow_abbrev=False,
                      description="Numerical experiments on Fourier partial "
                                  "sums over orthonormal systems on [0, 1].")
     subs = parser.add_subparsers(dest="command", required=True)
-    for command in COMMANDS:
-        sub = subs.add_parser(command, help=_COLUMN_DOCS[command],
-                              description=_COLUMN_DOCS[command])
-        _add_option(sub, "--config", type=str, help="flat key=value file")
-        _add_option(sub, "--output", type=str, help="output file path")
-        _add_option(sub, "--format", choices=("csv", "json"),
-                    help="output format (default csv)")
-        _add_option(sub, "--system", type=str,
-                    help="system name, e.g. cosine, haar, reflect2(cosine)")
-        _add_option(sub, "--function", type=str, help="catalog function name")
-        _add_option(sub, "--x", type=_float_tuple,
-                    help="comma-separated evaluation points in [0, 1]")
-        _add_option(sub, "--n-max", dest="n_max", type=int,
-                    help="largest index in sweeps")
-        _add_option(sub, "--n", type=int, help="single index / matrix size")
-        _add_option(sub, "--n-values", dest="n_values", type=_int_tuple,
-                    help="comma-separated index list")
-        _add_option(sub, "--check-tol", dest="check_tol", type=float,
-                    help="override the command's pass/fail tolerance")
-        _add_option(sub, "--slope-bounded", dest="slope_bounded", type=float)
-        _add_option(sub, "--slope-growing", dest="slope_growing", type=float)
-        _add_option(sub, "--plateau-rise", dest="plateau_rise", type=float)
-        if command == "bessel":
-            _add_option(sub, "--points", type=int,
-                        help="grid points for the square-sum scan")
-        if command == "eq11":
-            _add_option(sub, "--big-f", dest="big_f", type=str,
-                        help="catalog name for the paired factor")
-            _add_option(sub, "--big-f-kernel", dest="big_f_kernel", nargs=3,
-                        metavar=("SYSTEM", "N", "X"),
-                        help="use an antiderivative-kernel section as the "
-                             "paired factor")
-            _add_option(sub, "--eq11-upper", dest="eq11_upper",
-                        choices=("n", "n-1"),
-                        help="which local-sum variant the summary reports")
-        if command == "theorem3-extremal":
-            _add_option(sub, "--t", type=float, help="pairing point")
-            _add_option(sub, "--grid-size", dest="grid_size", type=int)
-        if command == "theorem4-moments":
-            _add_option(sub, "--base", type=str, help="base system name")
-            _add_option(sub, "--halving-tol", dest="halving_tol", type=float)
+    for command, entry in REGISTRY.items():
+        sub = subs.add_parser(command, help=entry.doc, description=entry.doc,
+                              allow_abbrev=False)
+        sub.add_argument("--config", type=str, default=argparse.SUPPRESS,
+                         help="flat key=value file")
+        for key, default in entry.reads.items():
+            flag = FLAGS[key]
+            sub.add_argument(
+                "--" + key.replace("_", "-"), dest=key, type=flag.type,
+                nargs=flag.nargs, choices=flag.choices, metavar=flag.metavar,
+                default=argparse.SUPPRESS, help=flag.help if default is None
+                else f"{flag.help} (default {default})")
     return parser
 
 
-def _read_config_file(path: str) -> dict:
+def _read_config_file(path: str, command: str) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidConfig(f"config: cannot read {path!r}: {exc}") from None
+    reads = REGISTRY[command].reads
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise InvalidConfig(f"config: line {lineno} is not key=value")
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if key not in _CONVERTERS:
-                raise InvalidConfig(f"config: unknown key {key!r}")
-            try:
-                values[key] = _CONVERTERS[key](value.strip())
-            except (ValueError, argparse.ArgumentTypeError):
-                raise InvalidConfig(f"config: bad value for {key!r}") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise InvalidConfig(f"config: line {lineno} is not key=value")
+        key, _, text = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if key not in reads:
+            raise InvalidConfig(f"config: {command} does not read {key!r}")
+        flag = FLAGS[key]
+        try:
+            value = (tuple(map(flag.type, text.split())) if flag.nargs
+                     else flag.type(text.strip()))
+        except (ValueError, argparse.ArgumentTypeError):
+            value = None
+        if (value is None or (flag.nargs and len(value) != flag.nargs)
+                or (flag.choices and value not in flag.choices)):
+            raise InvalidConfig(f"config: bad value for {key!r}")
+        values[key] = value
     return values
 
 
 def config_from_namespace(ns: argparse.Namespace) -> ExperimentConfig:
-    command = ns.command
-    explicit = {k: v for k, v in vars(ns).items()
-                if k not in ("command", "config")}
-    merged = dict(_COMMON_DEFAULTS)
-    merged.update(_COMMAND_DEFAULTS[command])
-    if getattr(ns, "config", None):
-        merged.update(_read_config_file(ns.config))
-    merged.update(explicit)
-
-    tolerances = {}
-    if merged.get("check_tol") is not None:
-        tolerances["check"] = merged["check_tol"]
-    if merged.get("halving_tol") is not None:
-        tolerances["halving"] = merged["halving_tol"]
-    extras = {k: merged[k] for k in ("n", "n_values", "points", "t",
-                                     "grid_size", "base", "big_f",
-                                     "big_f_kernel", "eq11_upper",
-                                     "slope_bounded", "slope_growing",
-                                     "plateau_rise") if k in merged}
+    entry = REGISTRY[ns.command]
+    given = (_read_config_file(ns.config, ns.command)
+             if getattr(ns, "config", None) else {})
+    given.update((k, v) for k, v in vars(ns).items()
+                 if k not in ("command", "config"))
+    values = {**entry.reads, **given}
     return ExperimentConfig(
-        command=command,
-        system=merged.get("system", "cosine"),
-        function=merged.get("function"),
-        x_points=tuple(merged.get("x", (0.3,))),
-        n_max=int(merged.get("n_max", 256)),
-        tolerances=tolerances,
-        output=merged.get("output"),
-        fmt=merged.get("format", "csv"),
-        extras=extras,
+        command=ns.command,
+        **{name: values[key] for key, name in _FIELD_OF.items()
+           if key in values},
+        tolerances={name: given[key] for key, name in _TOLERANCE_OF.items()
+                    if key in given},
+        extras={k: v for k, v in given.items() if k in _EXTRAS},
     )
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     try:
-        config = config_from_namespace(ns)
-        return run(config)
+        return run(config_from_namespace(ns))
     except OnsLabError as exc:
         print(f"ons-lab: error: {exc}", file=sys.stderr)
         return 1

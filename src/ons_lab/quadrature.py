@@ -189,12 +189,6 @@ def integrate(f: Callable, rule: QuadratureRule,
                              len(fine_nodes) // rule.order)
 
 
-def integrate_value(f: Callable, rule: QuadratureRule,
-                    a: float = 0.0, b: float = 1.0) -> float:
-    """Shorthand for ``integrate(...).value``."""
-    return integrate(f, rule, a, b).value
-
-
 def cumulative_integral(f: Callable, grid: Sequence[float],
                         rule: QuadratureRule) -> np.ndarray:
     """Antiderivative values ``F(t_j) = int_0^{t_j} f`` on a sorted grid.

@@ -242,30 +242,31 @@ def haar_system() -> SystemHandle:
 # ---------------------------------------------------------------------------
 
 def _rademacher_eval_core(k, u):
-    # parity of floor(u * 2^k), kept in float space: exact for any k since
-    # floor and halving are exact on doubles of every magnitude
-    cell = np.floor(np.ldexp(u, k))
-    parity = cell - 2.0 * np.floor(cell / 2.0)
+    # parity of floor(u 2^k) = floor(2^k (u mod 2^(1-k))), exact on doubles;
+    # past k = 1075 every double lies on an even cell, as at k = 1075
+    k = np.minimum(k, 1075)
+    parity = np.floor(np.ldexp(np.mod(u, np.ldexp(1.0, 1 - k)), k))
     vals = 1.0 - 2.0 * parity
     vals[u == 1.0] = -1.0   # left limit: cell 2^k - 1 is always odd
     return vals
 
 
 def _rademacher_antideriv_core(k, u):
-    period = np.ldexp(1.0, 1 - k)
+    # past k = 1075 every double is a multiple of the period: 0, as at 1075
+    period = np.ldexp(1.0, 1 - np.minimum(k, 1075))
     y = np.mod(u, period)
     return period / 2.0 - np.abs(y - period / 2.0)
 
 
 def _rademacher_antideriv2_core(k, u):
-    # each full period of the triangle wave adds its area p^2/4; within a
-    # period it integrates to y^2/2 up to p/2 and to p^2/4 - (p-y)^2/2 after
-    period = np.ldexp(1.0, 1 - k)
-    whole = np.floor(np.ldexp(u, k - 1))
+    # full periods p of the triangle wave below u add (u - y) p/4; within a
+    # period it integrates to y^2/2 up to p/2 and to p^2/4 - (p-y)^2/2
+    # after.  u - y is exact and ldexp rounds once, so no p^2 underflows
+    period = np.ldexp(1.0, 1 - np.minimum(k, 1075))
     y = np.mod(u, period)
     within = np.where(y < period / 2.0, 0.5 * y * y,
                       0.25 * period * period - 0.5 * (period - y) ** 2)
-    return whole * (0.25 * period * period) + within
+    return np.ldexp(u - y, -1 - k) + within
 
 
 def _rademacher_breakpoints(k: int) -> tuple:

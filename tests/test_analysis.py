@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ons_lab import (
     ClassificationThresholds,
+    InvalidConfig,
     KernelContext,
     SystemHandle,
     boundedness_experiment,
@@ -78,6 +79,13 @@ class TestGrowthReport:
         a = growth_report("det", range(1, 65), values)
         b = growth_report("det", range(1, 65), values)
         assert a == b
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_values_raise(self, bad):
+        values = np.ones(16)
+        values[9] = bad
+        with pytest.raises(InvalidConfig, match="n=10"):
+            growth_report("bad", range(1, 17), values)
 
     def test_mismatched_lengths_raise(self):
         with pytest.raises(ValueError):

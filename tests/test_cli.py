@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,10 +7,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ons_lab
 from ons_lab.cli import (
     COMMANDS,
+    FLAGS,
+    REGISTRY,
     ExperimentConfig,
     build_parser,
     config_from_namespace,
@@ -304,6 +310,16 @@ class TestCommands:
         assert code == 0
         payload = json.loads(path.read_text())
         assert payload["summary"]["system"] == "haar"
+        assert payload["config"]["system"] == "haar"
+
+    @pytest.mark.parametrize("command,code", [("theorem5", 2), ("theorem6", 2),
+                                              ("mn-sweep", 0)])
+    def test_only_theorem_sweeps_fail_on_growing(self, command, code,
+                                                 tmp_path):
+        # both slopes at -1 classify every fitted sweep as growing
+        args = [command, "--x", "0.3", "--n-max", "32", "--slope-bounded",
+                "-1", "--slope-growing", "-1", "--format", "json"]
+        assert run_cli(args, tmp_path)[0] == code
 
     @pytest.mark.parametrize("system", ["rademacher", "reflect(rademacher)"])
     def test_rademacher_sweep_past_sixteen(self, system, tmp_path):
@@ -318,8 +334,35 @@ class TestCommands:
 
 class TestConfigObject:
     def test_all_commands_have_handlers_and_defaults(self):
-        from ons_lab.cli import _COMMAND_DEFAULTS, _HANDLERS
-        assert set(COMMANDS) == set(_HANDLERS) == set(_COMMAND_DEFAULTS)
+        assert COMMANDS == tuple(REGISTRY)
+        for name, entry in REGISTRY.items():
+            assert callable(entry.handler), name
+            assert entry.doc.startswith("columns: " + ", ".join(entry.columns))
+            assert {"output", "format"} <= set(entry.reads) <= set(FLAGS)
+            assert entry.system is None or "system" not in entry.flags
+
+    def test_extras_get_registry_defaults_and_nothing_else(self):
+        config = ExperimentConfig(command="theorem3-extremal",
+                                  extras={"t": 0.5})
+        assert config.extras == {"n_values": (4, 8, 16), "t": 0.5,
+                                 "grid_size": 1024, "slope_bounded": 0.05,
+                                 "slope_growing": 0.5, "plateau_rise": 0.01}
+        assert ExperimentConfig(command="gram").extras == {"n": 8}
+
+    @pytest.mark.parametrize("extras,tolerances", [
+        ({"n": 4}, {}), ({}, {"halving": 1e-3}), ({"check_tol": 1.0}, {}),
+        ({"system": "haar"}, {})])
+    def test_rejects_keys_the_command_does_not_read(self, extras, tolerances):
+        with pytest.raises(InvalidConfig, match="that mn-sweep reads"):
+            ExperimentConfig(command="mn-sweep", extras=extras,
+                             tolerances=tolerances)
+
+    @pytest.mark.parametrize("command,system",
+                             [("theorem5", "cosine"), ("theorem6", "haar")])
+    def test_theorem_sweeps_fix_their_system(self, command, system):
+        assert ExperimentConfig(command=command).system == system
+        assert ExperimentConfig(command=command, system="rademacher"
+                                ).system == system
 
     def test_run_api_directly(self, tmp_path, capsys):
         config = ExperimentConfig(command="gram", system="haar",
@@ -334,3 +377,196 @@ class TestConfigObject:
     def test_rejects_bad_format(self):
         with pytest.raises(InvalidConfig):
             ExperimentConfig(command="gram", fmt="xml")
+
+
+# ---------------------------------------------------------------------------
+# each command accepts only the flags it reads
+# ---------------------------------------------------------------------------
+
+#: One flag per command that the command does not read.
+UNREAD = [
+    ("gram", ["--x", "0.3"]),
+    ("bessel", ["--function", "one"]),
+    ("lemma1", ["--n", "3"]),
+    ("lemma3", ["--n-max", "8"]),
+    ("lemma4", ["--n-max", "8"]),
+    ("eq11", ["--system", "haar"]),
+    ("mn-sweep", ["--n", "5"]),
+    ("partial-sums", ["--n", "4"]),
+    ("e-phi", ["--n-values", "4"]),
+    ("theorem2", ["--t", "0.5"]),
+    ("theorem3-extremal", ["--x", "0.5"]),
+    ("theorem4-moments", ["--system", "haar"]),
+    ("theorem5", ["--system", "haar"]),
+    ("theorem6", ["--system", "cosine"]),
+]
+
+#: A well-formed value for every flag.
+SAMPLE = {"system": ["haar"], "function": ["one"], "x": ["0.5"],
+          "n_max": ["8"], "n": ["4"], "n_values": ["4"], "points": ["5"],
+          "check_tol": ["1"], "halving_tol": ["1"], "t": ["0.5"],
+          "grid_size": ["64"], "base": ["haar"], "big_f": ["one"],
+          "big_f_kernel": ["cosine", "4", "0.3"], "eq11_upper": ["n"],
+          "slope_bounded": ["0.1"], "slope_growing": ["0.4"],
+          "plateau_rise": ["0.02"], "output": ["out.csv"],
+          "format": ["json"]}
+
+
+def _usage_exit(argv, capsys) -> str:
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("command,flag", UNREAD,
+                             ids=[c for c, _ in UNREAD])
+    def test_flag_the_command_does_not_read_exits_one(self, command, flag,
+                                                      capsys):
+        err = _usage_exit([command, *flag], capsys)
+        assert err == ("ons-lab: error: unrecognized arguments: "
+                       f"{' '.join(flag)}\n")
+
+    def test_no_flag_is_taken_as_an_abbreviation(self, capsys):
+        # --n would otherwise abbreviate --n-max, --check --check-tol
+        _usage_exit(["mn-sweep", "--n", "5"], capsys)
+        _usage_exit(["gram", "--check", "1"], capsys)
+
+    def test_every_unread_flag_of_every_command_exits_one(self, capsys):
+        for command, entry in REGISTRY.items():
+            for key in set(FLAGS) - set(entry.reads):
+                argv = [command, "--" + key.replace("_", "-"), *SAMPLE[key]]
+                assert _usage_exit(argv, capsys).startswith(
+                    "ons-lab: error: unrecognized arguments: --"), argv
+
+    @pytest.mark.parametrize("command,flag", UNREAD,
+                             ids=[c for c, _ in UNREAD])
+    def test_config_key_the_command_does_not_read_exits_one(
+            self, command, flag, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        key = flag[0][2:].replace("-", "_")
+        cfg.write_text(f"{key}={' '.join(flag[1:])}\n")
+        assert main([command, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"ons-lab: error: config: {command} does not read {key!r}\n")
+
+    def test_every_unread_config_key_of_every_command_is_rejected(
+            self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        for command, entry in REGISTRY.items():
+            for key in set(FLAGS) - set(entry.reads):
+                cfg.write_text(f"{key}={' '.join(SAMPLE[key])}\n")
+                ns = build_parser().parse_args([command, "--config", str(cfg)])
+                with pytest.raises(InvalidConfig, match="does not read"):
+                    config_from_namespace(ns)
+
+    def test_every_read_config_key_of_every_command_is_accepted(
+            self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        for command, entry in REGISTRY.items():
+            cfg.write_text("".join(f"{key}={' '.join(SAMPLE[key])}\n"
+                                   for key in entry.reads))
+            ns = build_parser().parse_args([command, "--config", str(cfg)])
+            config = config_from_namespace(ns)
+            assert config.fmt == "json"
+            if "big_f_kernel" in entry.reads:
+                assert config.extras["big_f_kernel"] == ("cosine", "4", "0.3")
+
+    @pytest.mark.parametrize("line", ["eq11_upper=n-2", "format=xml",
+                                      "big_f_kernel=cosine 4", "n_values=a"])
+    def test_bad_config_values_are_rejected(self, line, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        ns = build_parser().parse_args(["eq11", "--config", str(cfg)])
+        with pytest.raises(InvalidConfig, match="bad value"):
+            config_from_namespace(ns)
+
+    def test_unwritable_output_is_one_line_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "no-such-dir" / "out.csv"
+        assert main(["gram", "--n", "2", "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ons-lab: error: output: ")
+        assert err.count("\n") == 1
+
+    def test_missing_config_file_is_one_line_usage_error(self, tmp_path,
+                                                         capsys):
+        assert main(["gram", "--config", str(tmp_path / "none.cfg")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ons-lab: error: config: cannot read")
+        assert err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# argv fuzz: every outcome is exit 0, 1 or 2
+# ---------------------------------------------------------------------------
+
+def _one(values):
+    return st.sampled_from(values).map(lambda v: [v])
+
+
+_POINTS = ("0", "0.3", "1", "1.5", "nan")
+_SIZES = st.integers(-1, 16).map(str)
+_SYSTEMS = ("cosine", "haar", "rademacher", "reflect(haar)", "all", "nosuch")
+_FUNCTIONS = ("one", "id", "half-square", "cos-bump", "nosuch")
+_REALS = ("0", "1e-12", "0.05", "0.5", "1", "nan")
+
+_VALUES = {
+    "system": _one(_SYSTEMS),
+    "function": _one(_FUNCTIONS),
+    "x": st.lists(st.sampled_from(_POINTS), min_size=1, max_size=2).map(
+        lambda v: [",".join(v)]),
+    "n_max": _SIZES.map(lambda v: [v]),
+    "n": _SIZES.map(lambda v: [v]),
+    "n_values": st.lists(_SIZES, min_size=1, max_size=3).map(
+        lambda v: [",".join(v)]),
+    "points": _SIZES.map(lambda v: [v]),
+    "check_tol": _one(_REALS),
+    "halving_tol": _one(_REALS),
+    "t": _one(_POINTS),
+    "grid_size": _SIZES.map(lambda v: [v]),
+    "base": _one(_SYSTEMS),
+    "big_f": _one(_FUNCTIONS),
+    "big_f_kernel": st.tuples(st.sampled_from(_SYSTEMS),
+                              st.one_of(_SIZES, st.just("nosuch")),
+                              st.sampled_from(_POINTS)).map(list),
+    "eq11_upper": _one(("n", "n-1", "nosuch")),
+    "slope_bounded": _one(_REALS),
+    "slope_growing": _one(_REALS),
+    "plateau_rise": _one(_REALS),
+    "format": _one(("csv", "json", "xml")),
+}
+#: Flags that size the work: always drawn when the command reads them, so
+#: that no draw runs a full-size default.
+_SIZE_FLAGS = ("n_max", "n", "n_values", "points")
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(COMMANDS))
+    reads = set(REGISTRY[command].reads) & set(_VALUES)
+    keys = [k for k in _SIZE_FLAGS if k in reads]
+    keys += draw(st.lists(st.sampled_from(sorted(reads - set(keys))),
+                          max_size=3, unique=True))
+    # now and then a flag the command may not read
+    keys += draw(st.lists(st.sampled_from(sorted(_VALUES)), max_size=1))
+    argv = [command]
+    for key in keys:
+        argv += ["--" + key.replace("_", "-"), *draw(_VALUES[key])]
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=_argv())
+def test_argv_fuzz_exits_zero_one_or_two(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    if code == 1:
+        assert err.getvalue().count("\n") == 1, (argv, err.getvalue())

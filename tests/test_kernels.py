@@ -317,6 +317,11 @@ class TestSparsePrefixRows:
         assert abs(boundedness_functional(ctx, x)
                    - boundedness_functional_naive(ctx, x)) < 1e-12
 
+    def test_rademacher_functional_finite_past_1024(self):
+        # element 1025 on has 2^k beyond the largest double
+        ctx = KernelContext(get_system("rademacher"), 1030)
+        assert np.isfinite(boundedness_functional(ctx, 0.3))
+
     @pytest.mark.parametrize("x", [float("nan"), float("inf"), -0.25, 1.5])
     def test_rejects_x_outside_unit_interval(self, x):
         ctx = KernelContext(haar_system(), 8)

@@ -183,6 +183,27 @@ class TestSecondAntiderivativeExact:
                       exact)
 
 
+class TestRademacherLargeIndex:
+    # 2^k overflows a double from k = 1024 and 2^(1-k) underflows from
+    # k = 1076; the closed forms must stay finite and exact across both
+    @settings(max_examples=150, deadline=None)
+    @given(k=st.one_of(st.integers(1, 10_000), st.integers(500, 1100)),
+           u=_dyadic_points())
+    def test_matches_fraction_oracle_up_to_ten_thousand(self, k, u):
+        sys_ = rademacher_system()
+        period = Fraction(1, 1 << (k - 1))
+        value = sys_.eval(k, float(u))
+        first = sys_.antideriv(k, float(u))
+        second = sys_.antideriv2(k, float(u))
+        assert np.isfinite([value, first, second]).all()
+        assert value == (-1 if u == 1 or (u * (1 << k)) // 1 % 2 else 1)
+        # p/2 - |y - p/2| rounds at the scale of the amplitude p/2
+        exact = period / 2 - abs(u % period - period / 2)
+        assert abs(first - float(exact)) <= (
+            8 * np.finfo(float).eps * float(period) / 2 + 1e-300)
+        _assert_close(float(second), float(_rademacher_antideriv2_exact(k, u)))
+
+
 class TestGram:
     @pytest.mark.parametrize("name", CATALOG)
     def test_identity_32(self, name):
