@@ -106,19 +106,26 @@ _EXTRAS = tuple(k for k in FLAGS
                 if k not in _FIELD_OF and k not in _TOLERANCE_OF)
 
 
+#: What ``system``, ``x_points`` and ``n_max`` hold when left unset.
+_UNSET_FIELDS = {"system": "cosine", "x_points": (0.3,), "n_max": 256}
+
+
 @dataclass
 class ExperimentConfig:
     """Declarative description of one experiment run.
 
-    ``extras`` holds the command's other flags; one left out takes its
-    registry default.  ``tolerances`` holds only explicit tolerances.
+    A field, extra or tolerance given but not read by the command is an
+    error.  ``None`` leaves a field unset: ``function`` then takes the
+    registry default, the rest ``_UNSET_FIELDS``, and the command's fixed
+    system overrides ``system``.  An extra left out takes its registry
+    default; ``tolerances`` holds only explicit tolerances.
     """
 
     command: str
-    system: str = "cosine"
+    system: Optional[str] = None
     function: Optional[str] = None
-    x_points: tuple = (0.3,)
-    n_max: int = 256
+    x_points: Optional[tuple] = None
+    n_max: Optional[int] = None
     tolerances: dict = field(default_factory=dict)
     output: Optional[str] = None
     fmt: str = "csv"
@@ -129,11 +136,17 @@ class ExperimentConfig:
         if entry is None:
             raise InvalidConfig(f"command: unknown command {self.command!r}")
         extras = [k for k in _EXTRAS if k in entry.flags]
-        unread = (set(self.extras) - set(extras)) | (
-            {f"{k}_tol" for k in self.tolerances} - set(entry.flags))
+        unread = ({name for key, name in _FIELD_OF.items()
+                   if getattr(self, name) is not None
+                   and key not in entry.reads}
+                  | (set(self.extras) - set(extras))
+                  | ({f"{k}_tol" for k in self.tolerances} - set(entry.flags)))
         if unread:
-            raise InvalidConfig(f"{min(unread)}: not an extra or tolerance "
-                                f"that {self.command} reads")
+            raise InvalidConfig(f"{min(unread)}: not a field, extra or "
+                                f"tolerance that {self.command} reads")
+        for name, value in _UNSET_FIELDS.items():
+            if getattr(self, name) is None:
+                setattr(self, name, value)
         if entry.system is not None:
             self.system = entry.system
         if self.function is None:

@@ -90,10 +90,8 @@ class KernelContext:
             ks_arr = np.asarray(list(ks))
             vals = np.asarray(self.system.antideriv(ks_arr[:, None], us[None, :]),
                               dtype=float)
-            if vals.shape != (len(ks_arr), len(us)):
-                vals = np.stack([np.asarray(self.system.antideriv(k, us), dtype=float)
-                                 for k in ks_arr])
-            return vals
+            shape = (len(ks_arr), len(us))
+            return vals if vals.shape == shape else np.broadcast_to(vals, shape)
         return np.stack([self._numeric_g(int(k), us) for k in ks])
 
     def _numeric_g(self, k: int, us: np.ndarray) -> np.ndarray:
@@ -268,10 +266,5 @@ def antiderivative_square_sum(system: SystemHandle, n: int, us) -> np.ndarray:
     The classical Bessel bound caps this by 1 for any orthonormal system,
     uniformly in ``n``.
     """
-    us = np.atleast_1d(np.asarray(us, dtype=float))
-    if system.antideriv is not None:
-        table = eval_matrix(system, n, us, fn="antideriv")
-    else:
-        ctx = KernelContext(system, n)
-        table = ctx.g_values(range(1, n + 1), us)
+    table = KernelContext(system, n).g_values(range(1, n + 1), us)
     return (table ** 2).sum(axis=0)

@@ -6,8 +6,9 @@ transform that squeezes any system into [0, 1/2) and repeats it with
 flipped sign on [1/2, 1].  Applying the transform kills the mean of every
 element; applying it twice also kills the first moment.
 
-Element indices are 1-based throughout.  Evaluators accept scalars or
-broadcastable numpy arrays for both the index and the abscissa.
+Element indices are 1-based throughout.  Every evaluator broadcasts the
+index against the abscissa natively, so ``(k, u)`` tables are one call, and
+returns a Python float for scalar input.
 """
 
 from __future__ import annotations
@@ -41,12 +42,18 @@ _MAX_WINDOW_PIECES = 1 << 20
 class SystemHandle:
     """An orthonormal system: evaluators plus structural metadata.
 
+    ``eval``, ``antideriv`` and ``antideriv2`` broadcast ``k`` against
+    ``u`` natively, as numpy operations do: ``fn(ks[:, None], us[None, :])``
+    is the whole ``(len(ks), len(us))`` table, and scalar ``k`` and ``u``
+    give a Python float.  Tables that ignore ``k`` may omit that axis; the
+    table builders repeat them per index.
+
     Parameters
     ----------
     name : str
         Identifier, also accepted by :func:`get_system`.
     eval : callable
-        ``(k, u) -> value`` of the k-th element; broadcasts over arrays.
+        ``(k, u) -> value`` of the k-th element.
     antideriv : callable or None
         Closed-form ``int_0^u`` of the k-th element, when known.
     breakpoints : callable
@@ -100,15 +107,13 @@ class FunctionSpec:
     breakpoints: tuple[float, ...] = ()
 
 
-def _vectorize_ku(core):
-    """Lift a flat-array implementation to broadcasting (k, u) semantics."""
+def _evaluator(fn: Callable) -> Callable:
+    """Evaluator passing int64 ``k`` and float ``u`` arrays to ``fn``, which
+    broadcasts them natively; a 0-d result comes back as a Python float."""
 
     def wrapped(k, u):
-        kb, ub = np.broadcast_arrays(np.asarray(k), np.asarray(u, dtype=float))
-        shape = kb.shape
-        flat = core(np.atleast_1d(kb).ravel().astype(np.int64),
-                    np.atleast_1d(ub).ravel().astype(float))
-        return flat.reshape(shape) if shape else float(flat[0])
+        out = fn(np.asarray(k, dtype=np.int64), np.asarray(u, dtype=float))
+        return out if out.ndim else float(out)
 
     return wrapped
 
@@ -117,21 +122,18 @@ def _vectorize_ku(core):
 # cosine system: sqrt(2) cos(2 pi k u)
 # ---------------------------------------------------------------------------
 
+@_evaluator
 def _cosine_eval(k, u):
-    k = np.asarray(k, dtype=float)
-    u = np.asarray(u, dtype=float)
     return SQRT2 * np.cos(2.0 * np.pi * k * u)
 
 
+@_evaluator
 def _cosine_antideriv(k, u):
-    k = np.asarray(k, dtype=float)
-    u = np.asarray(u, dtype=float)
     return SQRT2 * np.sin(2.0 * np.pi * k * u) / (2.0 * np.pi * k)
 
 
+@_evaluator
 def _cosine_antideriv2(k, u):
-    k = np.asarray(k, dtype=float)
-    u = np.asarray(u, dtype=float)
     return SQRT2 * (1.0 - np.cos(2.0 * np.pi * k * u)) / (2.0 * np.pi * k) ** 2
 
 
@@ -171,49 +173,37 @@ def _haar_params(m: np.ndarray):
     return a, b, c, amp
 
 
-def _haar_eval_core(k, u):
-    out = np.zeros(k.shape, dtype=float)
-    first = k == 1
-    out[first] = 1.0
-    rest = ~first
-    if np.any(rest):
-        m, uu = k[rest], u[rest]
-        a, b, c, amp = _haar_params(m)
-        vals = np.where((uu >= a) & (uu < c), amp,
-                        np.where((uu >= c) & (uu < b), -amp, 0.0))
-        # value at u = 1 is the left limit when the support touches 1
-        vals = np.where((uu == 1.0) & (b == 1.0), -amp, vals)
-        out[rest] = vals
-    return out
+# Haar evaluators broadcast k against u, so block data is computed once per
+# index, not once per (k, u) entry; for k = 1 it is unused (and finite)
+
+@_evaluator
+def _haar_eval(k, u):
+    a, b, c, amp = _haar_params(k)
+    vals = np.where((u >= a) & (u < c), amp,
+                    np.where((u >= c) & (u < b), -amp, 0.0))
+    # value at u = 1 is the left limit when the support touches 1
+    vals = np.where((u == 1.0) & (b == 1.0), -amp, vals)
+    return np.where(k == 1, 1.0, vals)
 
 
-def _haar_antideriv_core(k, u):
-    out = np.zeros(k.shape, dtype=float)
-    first = k == 1
-    out[first] = u[first]
-    rest = ~first
-    if np.any(rest):
-        m, uu = k[rest], u[rest]
-        a, b, c, amp = _haar_params(m)
-        half = (b - a) / 2.0
-        out[rest] = amp * np.maximum(0.0, half - np.abs(np.clip(uu, a, b) - c))
-    return out
+@_evaluator
+def _haar_antideriv(k, u):
+    a, b, c, amp = _haar_params(k)
+    half = (b - a) / 2.0
+    tent = amp * np.maximum(0.0, half - np.abs(np.clip(u, a, b) - c))
+    return np.where(k == 1, u, tent)
 
 
+@_evaluator
 def _haar_antideriv2(k, u):
     # the tent g_m integrates to a quadratic on [a, c] and on [c, b], then
-    # stays at the tent's area amp * half^2.  k and u broadcast instead of
-    # being expanded, so block data is computed once per index, not once
-    # per (k, u) entry; for k = 1 it is unused (and finite)
-    k = np.asarray(k, dtype=np.int64)
-    u = np.asarray(u, dtype=float)
+    # stays at the tent's area amp * half^2
     a, b, c, amp = _haar_params(k)
     v = np.clip(u, a, b)
     half = (b - a) / 2.0
     tent = amp * np.where(v < c, 0.5 * (v - a) ** 2,
                           half * half - 0.5 * (b - v) ** 2)
-    out = np.where(k == 1, 0.5 * u * u, tent)
-    return out if out.ndim else float(out)
+    return np.where(k == 1, 0.5 * u * u, tent)
 
 
 def _haar_breakpoints(k: int) -> tuple:
@@ -227,8 +217,8 @@ def haar_system() -> SystemHandle:
     """Dyadic step system normalized in L2; jumps sit on dyadic rationals."""
     return SystemHandle(
         name="haar",
-        eval=_vectorize_ku(_haar_eval_core),
-        antideriv=_vectorize_ku(_haar_antideriv_core),
+        eval=_haar_eval,
+        antideriv=_haar_antideriv,
         breakpoints=_haar_breakpoints,
         smooth=False,
         piecewise_constant=True,
@@ -241,24 +231,28 @@ def haar_system() -> SystemHandle:
 # sign (Rademacher) system: sign(sin(2^k pi u))
 # ---------------------------------------------------------------------------
 
-def _rademacher_eval_core(k, u):
+@_evaluator
+def _rademacher_eval(k, u):
     # parity of floor(u 2^k) = floor(2^k (u mod 2^(1-k))), exact on doubles;
     # past k = 1075 every double lies on an even cell, as at k = 1075
     k = np.minimum(k, 1075)
     parity = np.floor(np.ldexp(np.mod(u, np.ldexp(1.0, 1 - k)), k))
-    vals = 1.0 - 2.0 * parity
-    vals[u == 1.0] = -1.0   # left limit: cell 2^k - 1 is always odd
-    return vals
+    # left limit at u = 1: cell 2^k - 1 is always odd
+    return np.where(u == 1.0, -1.0, 1.0 - 2.0 * parity)
 
 
-def _rademacher_antideriv_core(k, u):
-    # past k = 1075 every double is a multiple of the period: 0, as at 1075
+@_evaluator
+def _rademacher_antideriv(k, u):
+    # a triangle wave of period p: min(y, p - y) with y = u mod p, exact
+    # since p - y is exact whenever it is the smaller one; past k = 1075
+    # every double is a multiple of the period: 0, as at 1075
     period = np.ldexp(1.0, 1 - np.minimum(k, 1075))
     y = np.mod(u, period)
-    return period / 2.0 - np.abs(y - period / 2.0)
+    return np.minimum(y, period - y)
 
 
-def _rademacher_antideriv2_core(k, u):
+@_evaluator
+def _rademacher_antideriv2(k, u):
     # full periods p of the triangle wave below u add (u - y) p/4; within a
     # period it integrates to y^2/2 up to p/2 and to p^2/4 - (p-y)^2/2
     # after.  u - y is exact and ldexp rounds once, so no p^2 underflows
@@ -292,12 +286,12 @@ def rademacher_system() -> SystemHandle:
     """Sign system ``sign(sin(2^k pi u))`` with dyadic jump points."""
     return SystemHandle(
         name="rademacher",
-        eval=_vectorize_ku(_rademacher_eval_core),
-        antideriv=_vectorize_ku(_rademacher_antideriv_core),
+        eval=_rademacher_eval,
+        antideriv=_rademacher_antideriv,
         breakpoints=_rademacher_breakpoints,
         smooth=False,
         piecewise_constant=True,
-        antideriv2=_vectorize_ku(_rademacher_antideriv2_core),
+        antideriv2=_rademacher_antideriv2,
         period=lambda k: Fraction(1, 1 << (int(k) - 1)),
         breakpoints_in=_rademacher_breakpoints_in,
         panels_hint=lambda k: 2,
@@ -308,27 +302,6 @@ def rademacher_system() -> SystemHandle:
 # compress-and-reflect transform
 # ---------------------------------------------------------------------------
 
-def _split_halves(left: Callable, right: Callable) -> Callable:
-    """Broadcasting ``(k, u)`` evaluator assembled from two half-interval parts.
-
-    ``left(k, u)`` serves the points ``u < 1/2`` and ``right(k, u)`` the
-    rest; each receives flat index and abscissa arrays of equal length.
-    """
-
-    def wrapped(k, u):
-        kb, ub = np.broadcast_arrays(np.asarray(k), np.asarray(u, dtype=float))
-        shape = kb.shape
-        kf = np.atleast_1d(kb).ravel()
-        uf = np.atleast_1d(ub).ravel().astype(float)
-        out = np.empty(uf.shape, dtype=float)
-        lo = uf < 0.5
-        out[lo] = left(kf[lo], uf[lo])
-        out[~lo] = right(kf[~lo], uf[~lo])
-        return out.reshape(shape) if shape else float(out[0])
-
-    return wrapped
-
-
 def compress_reflect(base: SystemHandle) -> SystemHandle:
     """System ``u -> base_k(2u)`` on [0, 1/2), ``-base_k(2u - 1)`` on [1/2, 1].
 
@@ -338,22 +311,31 @@ def compress_reflect(base: SystemHandle) -> SystemHandle:
     """
     ev, anti, anti2 = base.eval, base.antideriv, base.antideriv2
 
-    def anti2_right(k, u):
-        ones = np.ones(len(u))
-        return (0.25 * anti2(k, ones) + 0.5 * anti(k, ones) * (u - 0.5)
-                - 0.25 * anti2(k, 2.0 * (u - 0.5)))
+    def halves(u):
+        # the point 1/2 (and NaN) belongs to the right half, which the base
+        # sees through v = 2u - 1; the left half sees v = 2u
+        right = ~(u < 0.5)
+        return right, np.where(right, 2.0 * (u - 0.5), 2.0 * u)
 
-    reflected_eval = _split_halves(lambda k, u: ev(k, 2.0 * u),
-                                   lambda k, u: -ev(k, 2.0 * (u - 0.5)))
-    reflected_anti = reflected_anti2 = None
-    if anti is not None:
-        reflected_anti = _split_halves(
-            lambda k, u: 0.5 * anti(k, 2.0 * u),
-            lambda k, u: 0.5 * anti(k, np.ones(len(u)))
-            - 0.5 * anti(k, 2.0 * (u - 0.5)))
-        if anti2 is not None:
-            reflected_anti2 = _split_halves(lambda k, u: 0.25 * anti2(k, 2.0 * u),
-                                            anti2_right)
+    @_evaluator
+    def reflected_eval(k, u):
+        right, v = halves(u)
+        e = ev(k, v)
+        return np.where(right, -e, e)
+
+    @_evaluator
+    def reflected_anti(k, u):
+        right, v = halves(u)
+        a = anti(k, v)
+        return np.where(right, 0.5 * anti(k, 1.0) - 0.5 * a, 0.5 * a)
+
+    @_evaluator
+    def reflected_anti2(k, u):
+        right, v = halves(u)
+        a2 = anti2(k, v)
+        return np.where(right, 0.25 * anti2(k, 1.0)
+                        + 0.5 * anti(k, 1.0) * (u - 0.5) - 0.25 * a2,
+                        0.25 * a2)
 
     def bps(k: int) -> tuple:
         inner = base.breakpoints(k)
@@ -365,11 +347,11 @@ def compress_reflect(base: SystemHandle) -> SystemHandle:
     return SystemHandle(
         name=f"reflect({base.name})",
         eval=reflected_eval,
-        antideriv=reflected_anti,
+        antideriv=None if anti is None else reflected_anti,
         breakpoints=bps,
         smooth=False,
         piecewise_constant=base.piecewise_constant,
-        antideriv2=reflected_anti2,
+        antideriv2=None if anti is None or anti2 is None else reflected_anti2,
         panels_hint=base.panels_hint,
     )
 
@@ -555,10 +537,8 @@ def eval_matrix(system: SystemHandle, n: int, us, fn: str = "eval") -> np.ndarra
     us = np.atleast_1d(np.asarray(us, dtype=float))
     ks = np.arange(1, n + 1)
     vals = np.asarray(func(ks[:, None], us[None, :]), dtype=float)
-    if vals.shape != (n, len(us)):
-        vals = np.stack([np.broadcast_to(np.asarray(func(k, us), dtype=float),
-                                         us.shape) for k in ks])
-    return vals
+    shape = (n, len(us))
+    return vals if vals.shape == shape else np.broadcast_to(vals, shape)
 
 
 def system_values(system: SystemHandle, n: int, x: float) -> np.ndarray:

@@ -361,8 +361,30 @@ class TestConfigObject:
                              [("theorem5", "cosine"), ("theorem6", "haar")])
     def test_theorem_sweeps_fix_their_system(self, command, system):
         assert ExperimentConfig(command=command).system == system
-        assert ExperimentConfig(command=command, system="rademacher"
-                                ).system == system
+        with pytest.raises(InvalidConfig, match=f"system: .* {command} reads"):
+            ExperimentConfig(command=command, system="rademacher")
+
+    @pytest.mark.parametrize("command,fields", [
+        ("eq11", {"system": "haar"}), ("eq11", {"x_points": (0.9,)}),
+        ("eq11", {"n_max": 3}), ("gram", {"function": "one"}),
+        ("gram", {"n_max": 3}), ("theorem4-moments", {"x_points": (0.5,)})])
+    def test_rejects_given_fields_the_command_does_not_read(self, command,
+                                                             fields):
+        name = next(iter(fields))
+        with pytest.raises(InvalidConfig,
+                           match=f"^{name}: .* that {command} reads$"):
+            ExperimentConfig(command=command, **fields)
+
+    def test_unset_fields_echo_the_old_defaults(self, capsys):
+        config = ExperimentConfig(command="eq11", extras={"n_values": (2,)},
+                                  fmt="json")
+        assert (config.system, config.x_points, config.n_max,
+                config.function) == ("cosine", (0.3,), 256, "half-square")
+        assert run(config) == 0
+        echoed = json.loads(capsys.readouterr().out)["config"]
+        assert (echoed["system"], echoed["x_points"], echoed["n_max"]) == (
+            "cosine", [0.3], 256)
+        assert ExperimentConfig(command="gram").function is None
 
     def test_run_api_directly(self, tmp_path, capsys):
         config = ExperimentConfig(command="gram", system="haar",

@@ -28,6 +28,7 @@ from ons_lab import (
     system_values,
 )
 from ons_lab.kernels import _prefix_values
+from ons_lab.systems import eval_matrix
 
 SQ2 = np.sqrt(2.0)
 
@@ -192,6 +193,31 @@ def _stripped_cosine() -> SystemHandle:
         smooth=True,
         panels_hint=base.panels_hint,
     )
+
+
+class TestTableShapes:
+    # an evaluator that ignores k may return one row for every index; any
+    # other shape is an error, not a silent per-k fallback
+    def _line(self, width=None):
+        row = (lambda u: np.asarray(u, dtype=float)) if width is None else (
+            lambda u: np.zeros(width))
+        return SystemHandle(name="line", eval=lambda k, u: row(u),
+                            antideriv=lambda k, u: row(u) / 2.0,
+                            breakpoints=lambda k: (), smooth=True)
+
+    def test_k_independent_row_is_repeated(self):
+        us = np.array([0.0, 0.25, 1.0])
+        line = self._line()
+        assert np.array_equal(eval_matrix(line, 3, us), np.tile(us, (3, 1)))
+        assert np.array_equal(KernelContext(line, 3).g_values([1, 2], us),
+                              np.tile(us / 2.0, (2, 1)))
+
+    def test_wrong_shape_raises(self):
+        bad, us = self._line(width=5), np.array([0.0, 0.25, 1.0])
+        with pytest.raises(ValueError):
+            eval_matrix(bad, 3, us)
+        with pytest.raises(ValueError):
+            KernelContext(bad, 3).g_values([1, 2], us)
 
 
 class TestNumericAntiderivativeFallback:

@@ -98,6 +98,10 @@ class TestRademacher:
     def test_antideriv_vanishes_at_one(self):
         assert rademacher_system().antideriv(1, 1.0) == 0.0
 
+    @pytest.mark.parametrize("k", [1, 2, 7, 1075, 5000])
+    def test_value_at_one_is_the_left_limit(self, k):
+        assert rademacher_system().eval(k, 1.0) == -1.0
+
     def test_large_index_breakpoints_refuse_enumeration(self):
         from ons_lab import OnsLabError
         with pytest.raises(OnsLabError):
@@ -132,6 +136,50 @@ class TestAntiderivativeConsistency:
                     sys_.antideriv(k, u), dtype=float), grid, rule)
                 closed = np.asarray(sys_.antideriv2(k, grid), dtype=float)
                 assert np.abs(numeric - closed).max() < 1e-9, (name, k)
+
+
+class TestRandomAntiderivatives:
+    # the fixed-index checks above cover k in {1, 2, 3, 7}; these draw k
+    @pytest.mark.parametrize("name,k_max", [("reflect2(haar)", 2048),
+                                            ("reflect(rademacher)", 10)])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data(),
+           us=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+    def test_antideriv_matches_cumulative(self, name, k_max, data, us):
+        sys_ = get_system(name)
+        k = data.draw(st.integers(1, k_max), label="k")
+        grid = np.sort(np.array(us))
+        rule = QuadratureRule(breakpoints=sys_.breakpoints(k), abs_tol=1e-13)
+        numeric = cumulative_integral(lambda u: np.asarray(
+            sys_.eval(k, u), dtype=float), grid, rule)
+        closed = np.asarray(sys_.antideriv(k, grid), dtype=float)
+        assert np.abs(numeric - closed).max() < 1e-12, (k, grid)
+
+
+#: Every catalog system plus the reflections of the step systems.
+CONTRACT_SYSTEMS = CATALOG + ("reflect2(haar)", "reflect(rademacher)",
+                              "reflect2(rademacher)")
+
+
+class TestBroadcastingContract:
+    # evaluators take (k, u) tables natively: a table is bitwise the
+    # scalar calls, and a scalar call gives a Python float
+    @pytest.mark.parametrize("fn", ["eval", "antideriv", "antideriv2"])
+    @pytest.mark.parametrize("name", CONTRACT_SYSTEMS)
+    def test_table_is_bitwise_the_scalar_calls(self, name, fn):
+        func = getattr(get_system(name), fn)
+        rng = np.random.default_rng(11)
+        us = np.concatenate(([0.0, 0.25, 0.5, 1.0, 0.1, 0.4999, 0.75,
+                              1e-300], rng.random(8), rng.random(4) / 7))
+        ks = np.array([1, 2, 3, 4, 5, 8, 13, 64, 257, 1100])
+        if "rademacher" in name:
+            ks = np.concatenate((ks, [1074, 1075, 1076, 5000]))
+        table = func(ks[:, None], us[None, :])
+        assert table.shape == (len(ks), len(us))
+        scalars = [[func(int(k), float(u)) for u in us] for k in ks]
+        assert all(type(v) is float for row in scalars for v in row)
+        assert np.array_equal(np.array(scalars).view(np.int64),
+                              np.asarray(table, dtype=float).view(np.int64))
 
 
 def _dyadic_points():
@@ -197,11 +245,14 @@ class TestRademacherLargeIndex:
         second = sys_.antideriv2(k, float(u))
         assert np.isfinite([value, first, second]).all()
         assert value == (-1 if u == 1 or (u * (1 << k)) // 1 % 2 else 1)
-        # p/2 - |y - p/2| rounds at the scale of the amplitude p/2
-        exact = period / 2 - abs(u % period - period / 2)
-        assert abs(first - float(exact)) <= (
-            8 * np.finfo(float).eps * float(period) / 2 + 1e-300)
+        # the triangle wave min(y, p - y) is exact on doubles
+        y = u % period
+        assert first == float(min(y, period - y))
         _assert_close(float(second), float(_rademacher_antideriv2_exact(k, u)))
+
+    @pytest.mark.parametrize("u", [7.18e-286, 5e-324, 0.1, 0.210365])
+    def test_antideriv_keeps_tiny_and_decimal_points_exact(self, u):
+        assert rademacher_system().antideriv(1, u) == u
 
 
 class TestGram:
@@ -210,6 +261,22 @@ class TestGram:
         sys_ = get_system(name)
         G = gram_matrix(sys_, 32)
         assert np.abs(G - np.eye(32)).max() < gram_tolerance(sys_)
+
+    @pytest.mark.parametrize("name", CATALOG)
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_random_row_is_identity(self, name, data):
+        # step systems take exact products (rademacher windows need 2^j
+        # finite, j < 1024); quadrature rules for smooth elements grow
+        # with k, so those rows stay short
+        sys_ = get_system(name)
+        k = data.draw(st.integers(1, 1000 if sys_.piecewise_constant else 40),
+                      label="k")
+        js = data.draw(st.lists(st.integers(1, k + 8), min_size=1,
+                                max_size=12, unique=True), label="js")
+        row = np.array([inner_product(sys_, j, k) for j in js])
+        want = np.array([float(j == k) for j in js])
+        assert np.abs(row - want).max() < gram_tolerance(sys_), (js, k)
 
 
 class TestCompressReflect:
