@@ -106,7 +106,8 @@ _EXTRAS = tuple(k for k in FLAGS
                 if k not in _FIELD_OF and k not in _TOLERANCE_OF)
 
 
-#: What ``system``, ``x_points`` and ``n_max`` hold when left unset.
+#: What ``system``, ``x_points`` and ``n_max`` hold when left unset by a
+#: command that does not read them.
 _UNSET_FIELDS = {"system": "cosine", "x_points": (0.3,), "n_max": 256}
 
 
@@ -115,8 +116,9 @@ class ExperimentConfig:
     """Declarative description of one experiment run.
 
     A field, extra or tolerance given but not read by the command is an
-    error.  ``None`` leaves a field unset: ``function`` then takes the
-    registry default, the rest ``_UNSET_FIELDS``, and the command's fixed
+    error.  ``None`` leaves a field unset: a field the command reads then
+    takes its registry default, as on the command line, and one it does
+    not read the value in ``_UNSET_FIELDS``, if any.  The command's fixed
     system overrides ``system``.  An extra left out takes its registry
     default; ``tolerances`` holds only explicit tolerances.
     """
@@ -144,13 +146,12 @@ class ExperimentConfig:
         if unread:
             raise InvalidConfig(f"{min(unread)}: not a field, extra or "
                                 f"tolerance that {self.command} reads")
-        for name, value in _UNSET_FIELDS.items():
+        for key, name in _FIELD_OF.items():
             if getattr(self, name) is None:
-                setattr(self, name, value)
+                setattr(self, name,
+                        entry.reads.get(key, _UNSET_FIELDS.get(name)))
         if entry.system is not None:
             self.system = entry.system
-        if self.function is None:
-            self.function = entry.flags.get("function")
         merged = {**entry.flags, **self.extras}
         self.extras = {k: merged[k] for k in extras if merged[k] is not None}
         if self.fmt not in ("csv", "json"):
@@ -292,9 +293,13 @@ def _run_lemma1(config: ExperimentConfig):
 def _run_lemma3(config: ExperimentConfig):
     system = systems.get_system(config.system)
     tol = _tolerance(config, "check")
+    contexts = [kernels.KernelContext(system, n)
+                for n in config.extras["n_values"]]
+    for ctx in contexts:
+        ctx.rule            # an index the rule cannot be built for fails now
     rows, worst = [], -np.inf
-    for n in config.extras["n_values"]:
-        ctx = kernels.KernelContext(system, n)
+    for ctx in contexts:
+        n = ctx.n
         for x in config.x_points:
             phi = systems.system_values(system, n, x)
             rhs = float(np.sqrt((phi ** 2).sum()) / n)

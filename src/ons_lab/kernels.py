@@ -31,8 +31,10 @@ are pure.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import threading
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -46,7 +48,8 @@ from .quadrature import (
     integrate,
     integrate_abs,
 )
-from .systems import SystemHandle, eval_matrix, recommended_rule, system_values
+from .systems import (SystemHandle, index_table, recommended_rule,
+                      system_values)
 
 
 class KernelContext:
@@ -85,13 +88,9 @@ class KernelContext:
 
     def g_values(self, ks: Sequence[int], us: np.ndarray) -> np.ndarray:
         """Table ``G[r, j] = g_{ks[r]}(us[j])``, closed form or numeric."""
-        us = np.atleast_1d(np.asarray(us, dtype=float))
         if self.system.antideriv is not None:
-            ks_arr = np.asarray(list(ks))
-            vals = np.asarray(self.system.antideriv(ks_arr[:, None], us[None, :]),
-                              dtype=float)
-            shape = (len(ks_arr), len(us))
-            return vals if vals.shape == shape else np.broadcast_to(vals, shape)
+            return index_table(self.system.antideriv, ks, us)
+        us = np.atleast_1d(np.asarray(us, dtype=float))
         return np.stack([self._numeric_g(int(k), us) for k in ks])
 
     def _numeric_g(self, k: int, us: np.ndarray) -> np.ndarray:
@@ -128,11 +127,16 @@ def _prefix_rows(ctx: KernelContext, ks: np.ndarray) -> np.ndarray:
     if ctx.system.antideriv2 is not None:
         return np.asarray(ctx.system.antideriv2(ks[:, None], ts[None, :]),
                           dtype=float)
-    panels = max(2, -(-ctx.rule.panels // ctx.n))
     nodes, weights, starts = cell_mesh(np.concatenate(([0.0], ts)), ctx.rule,
-                                       panels)
+                                       _cell_panels(ctx))
     cells = np.add.reduceat(ctx.g_values(ks, nodes) * weights, starts, axis=1)
     return np.cumsum(cells, axis=1)
+
+
+def _cell_panels(ctx: KernelContext) -> int:
+    """Panels per breakpoint segment in a cell of width 1/n: the share of
+    the rule's panels for [0, 1] that falls on one cell, at least two."""
+    return max(2, -(-ctx.rule.panels // ctx.n))
 
 
 # ---------------------------------------------------------------------------
@@ -141,24 +145,30 @@ def _prefix_rows(ctx: KernelContext, ks: np.ndarray) -> np.ndarray:
 
 def dirichlet_kernel(ctx: KernelContext, u, x: float):
     """Kernel ``sum_{k<=n} phi_k(u) phi_k(x)``."""
-    phi_x = system_values(ctx.system, ctx.n, x)
-    u_arr = np.asarray(u, dtype=float)
-    if u_arr.ndim == 0:
-        phi_u = system_values(ctx.system, ctx.n, float(u_arr))
-        return math.fsum(phi_u * phi_x)
-    table = eval_matrix(ctx.system, ctx.n, u_arr)
-    return phi_x @ table
+    return _live_sum(partial(index_table, ctx.system.eval),
+                     *_live_rows(ctx, x), u)
 
 
 def antiderivative_kernel(ctx: KernelContext, u, x: float):
     """Kernel ``sum_{k<=n} g_k(u) phi_k(x)``."""
+    return _live_sum(ctx.g_values, *_live_rows(ctx, x), u)
+
+
+def _live_rows(ctx: KernelContext, x: float):
+    """Indices k with ``phi_k(x) != 0`` and those values: the only rows a
+    kernel at x needs (a Haar vector has at most log2(n) + 2)."""
     phi_x = system_values(ctx.system, ctx.n, x)
+    live = np.flatnonzero(phi_x)
+    return live + 1, phi_x[live]
+
+
+def _live_sum(table, ks: np.ndarray, weights: np.ndarray, u):
+    """``sum_r table(ks, u)[r] * weights[r]``; a scalar u sums exactly."""
     u_arr = np.asarray(u, dtype=float)
-    scalar = u_arr.ndim == 0
-    table = ctx.g_values(range(1, ctx.n + 1), np.atleast_1d(u_arr))
-    if scalar:
-        return math.fsum(table[:, 0] * phi_x)
-    return phi_x @ table
+    vals = table(ks, np.atleast_1d(u_arr))
+    if u_arr.ndim == 0:
+        return math.fsum(vals[:, 0] * weights)
+    return weights @ vals
 
 
 def kernel_prefix_integral(ctx: KernelContext, t: float, x: float) -> float:
@@ -248,11 +258,21 @@ def boundedness_functional_naive(ctx: KernelContext, x: float) -> float:
 
 
 def cell_abs_integral(ctx: KernelContext, i: int, x: float) -> IntegrationResult:
-    """Integral of the absolute antiderivative kernel over cell i of n."""
+    """Integral of the absolute antiderivative kernel over cell i of n.
+
+    The cell ``[(i - 1)/n, i/n]`` is integrated by :func:`integrate_abs`
+    with the rule's breakpoints but cell-sized panels: ``max(2,
+    ceil(rule.panels / n))`` per breakpoint segment, the share of the
+    panels for [0, 1] that falls on one cell.  The kernel's zeros in the
+    cell are found in one sampled scan and refined together, and the kernel
+    takes only the rows where ``phi_k(x) != 0``.
+    """
     if not 1 <= i <= ctx.n:
         raise ValueError("cell index must satisfy 1 <= i <= n")
-    return integrate_abs(lambda u: antiderivative_kernel(ctx, u, x),
-                         ctx.rule, (i - 1) / ctx.n, i / ctx.n)
+    rule = dataclasses.replace(ctx.rule, panels=_cell_panels(ctx))
+    rows = _live_rows(ctx, x)
+    return integrate_abs(lambda u: _live_sum(ctx.g_values, *rows, u),
+                         rule, (i - 1) / ctx.n, i / ctx.n)
 
 
 def dirichlet_mean(ctx: KernelContext, x: float) -> float:

@@ -34,10 +34,16 @@ SMOOTH_ABS_TOL = 1e-10
 #: Default absolute-error target when all jumps are declared as breakpoints.
 PIECEWISE_ABS_TOL = 1e-13
 
-# Nodes per integrand call in cumulative_integral.  Kernel integrands build an
-# (n, nodes) table, which for a whole sign-system mesh (2^16 breakpoints)
-# takes gigabytes; blocks that fit in cache also measured fastest.
+# Nodes per integrand call in cumulative_integral and in the scan of
+# integrate_abs.  Kernel integrands build an (n, nodes) table, which for a
+# whole sign-system mesh (2^16 breakpoints) takes gigabytes; blocks that fit
+# in cache also measured fastest.
 _SAMPLE_BLOCK = 4096
+
+# integrate_abs narrows a zero bracket until it is no wider than
+# _ZERO_XTOL + _ZERO_RTOL * |position|: 1e-15 plus four ulps.
+_ZERO_XTOL = 1e-15
+_ZERO_RTOL = 4 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -139,14 +145,18 @@ def cell_mesh(grid: Sequence[float], rule: QuadratureRule, panels: int):
         raise InvalidInterval("grid must lie within [0, 1]")
     if not (pts[1:] >= pts[:-1]).all():     # also rejects NaN
         raise InvalidInterval("grid must be sorted ascending")
-    bps = np.asarray(rule.breakpoints, dtype=float)
-    inner = bps[np.searchsorted(bps, pts[0], "right"):
-                np.searchsorted(bps, pts[-1], "left")]
-    edges = np.sort(np.concatenate((pts, inner)))
+    edges = np.sort(np.concatenate((pts, _inner_breakpoints(rule, pts[0],
+                                                            pts[-1]))))
     edges = edges[np.concatenate(([True], edges[1:] > edges[:-1]))]
     nodes, weights = _panel_points(edges, rule.order, panels)
     starts = np.searchsorted(edges, pts[:-1]) * (panels * rule.order)
     return nodes, weights, starts
+
+
+def _inner_breakpoints(rule: QuadratureRule, a: float, b: float) -> np.ndarray:
+    """The breakpoints of ``rule`` strictly between a and b."""
+    bps = np.asarray(rule.breakpoints, dtype=float)
+    return bps[np.searchsorted(bps, a, "right"):np.searchsorted(bps, b, "left")]
 
 
 def _sample(f: Callable, nodes: np.ndarray) -> np.ndarray:
@@ -156,6 +166,12 @@ def _sample(f: Callable, nodes: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(vals)):
         raise NonFiniteIntegrand("integrand returned a non-finite value")
     return vals
+
+
+def _sample_blocks(f: Callable, nodes: np.ndarray) -> np.ndarray:
+    """``f`` on many nodes, one call per ``_SAMPLE_BLOCK`` of them."""
+    return np.concatenate([_sample(f, nodes[i:i + _SAMPLE_BLOCK])
+                           for i in range(0, len(nodes), _SAMPLE_BLOCK)])
 
 
 def integrate(f: Callable, rule: QuadratureRule,
@@ -206,54 +222,92 @@ def cumulative_integral(f: Callable, grid: Sequence[float],
     cells = np.zeros(len(pts))
     filled = np.diff(starts, append=len(nodes)) > 0
     if np.any(filled):
-        vals = np.concatenate([_sample(f, nodes[i:i + _SAMPLE_BLOCK])
-                               for i in range(0, len(nodes), _SAMPLE_BLOCK)])
-        cells[filled] = np.add.reduceat(weights * vals, starts[filled])
+        cells[filled] = np.add.reduceat(weights * _sample_blocks(f, nodes),
+                                        starts[filled])
     return np.cumsum(cells)
 
 
 def integrate_abs(f: Callable, rule: QuadratureRule,
                   a: float = 0.0, b: float = 1.0,
                   scan_points: int = 256) -> IntegrationResult:
-    """Integrate ``|f|`` over ``[a, b]`` with sign-change refinement.
+    """Integrate ``|f|`` over ``[a, b]`` inside [0, 1], split at f's zeros.
 
-    Zeros of ``f`` are bracketed on a uniform scan of ``scan_points``
-    samples per breakpoint segment, refined with Brent's method, and added
-    to the breakpoint set so that every panel sees a single-signed smooth
-    integrand.  Tight zero pairs below the scan resolution degrade the
-    estimate gracefully rather than failing.
+    One pass samples ``f``, in blocks of nodes, on a uniform scan of
+    ``scan_points`` intervals in every breakpoint segment of ``[a, b]``.
+    Each sign change brackets a zero.  The bracket endpoints are evaluated
+    again, together, and the brackets that still straddle zero are all
+    narrowed at once, one call of ``f`` per step of regula falsi with the
+    Illinois rule, to about 1e-15; a bracket that no longer straddles zero
+    gives its midpoint.  These points, and
+    interior scan points where ``f`` is exactly zero, join the breakpoints
+    of ``[a, b]``, so that every panel of the final :func:`integrate` pass
+    sees a single-signed smooth integrand.  Tight zero pairs below the scan
+    resolution degrade the estimate gracefully rather than failing.
     """
     if a > b:
         raise InvalidInterval(f"empty interval: a={a} > b={b}")
+    if a < 0.0 or b > 1.0:
+        raise InvalidInterval(f"interval [{a}, {b}] leaves [0, 1]")
     if a == b:
         return IntegrationResult(0.0, 0.0, 1)
-    # imported here: scipy.optimize dominates the import time of the package
-    from scipy.optimize import brentq
-
-    def scalar_f(t: float) -> float:
-        return float(np.asarray(f(np.array([t])), dtype=float).ravel()[0])
-
-    edges = np.array([a, *[p for p in rule.breakpoints if a < p < b], b],
-                     dtype=float)
-    zeros = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        ts = np.linspace(lo, hi, scan_points + 1)
-        vals = _sample(f, ts)
-        signs = np.sign(vals)
-        for j in range(scan_points):
-            if signs[j] != 0 and signs[j + 1] != 0 and signs[j] != signs[j + 1]:
-                # re-evaluate pointwise: vectorized and scalar summation
-                # orders can disagree in the last ulp near a zero
-                fa, fb = scalar_f(ts[j]), scalar_f(ts[j + 1])
-                if fa == 0.0:
-                    zeros.append(ts[j])
-                elif fb == 0.0:
-                    zeros.append(ts[j + 1])
-                elif (fa > 0.0) != (fb > 0.0):
-                    zeros.append(brentq(scalar_f, ts[j], ts[j + 1], xtol=1e-15))
-                else:
-                    zeros.append(0.5 * (ts[j] + ts[j + 1]))
-            elif signs[j + 1] == 0 and j + 1 < scan_points:
-                zeros.append(ts[j + 1])
-    refined = rule.with_breakpoints(zeros) if zeros else rule
+    inner = _inner_breakpoints(rule, a, b)
+    edges = np.concatenate(([a], inner, [b]))
+    ts = np.linspace(edges[:-1], edges[1:], scan_points + 1, axis=1)
+    signs = np.sign(_sample_blocks(f, ts.ravel()).reshape(ts.shape))
+    change = signs[:, :-1] * signs[:, 1:] < 0
+    split = np.concatenate((inner, ts[:, 1:-1][signs[:, 1:-1] == 0],
+                            _refine_zeros(f, ts[:, :-1][change],
+                                          ts[:, 1:][change])))
+    refined = dataclasses.replace(rule, breakpoints=()).with_breakpoints(split)
     return integrate(lambda u: np.abs(f(u)), refined, a, b)
+
+
+def _refine_zeros(f: Callable, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """One zero of ``f`` in each bracket ``[lo[r], hi[r]]``.
+
+    The endpoints are evaluated again first: a value taken in another call
+    can differ in the last ulp near a zero.  An endpoint where ``f`` is zero
+    is the zero, and a bracket whose endpoints no longer differ in sign
+    gives its midpoint.  The rest are narrowed together, one call of ``f``
+    per step, by regula falsi with the Illinois rule: a bracket ends with
+    the step where ``f`` is zero, or once no wider than 1e-15 plus four
+    ulps of its position, when its midpoint is the zero.
+    """
+    if len(lo) == 0:
+        return lo
+    ends = _sample(f, np.concatenate((lo, hi)))
+    flo, fhi = ends[:len(lo)], ends[len(lo):]
+    out = np.where(flo == 0.0, lo, np.where(fhi == 0.0, hi, 0.5 * (lo + hi)))
+    act = np.flatnonzero((flo != 0.0) & (fhi != 0.0)
+                         & ((flo > 0.0) != (fhi > 0.0)))
+    # per bracket also: the end moved last (-1 lo, +1 hi, 0 none yet), the
+    # width the next steps must halve, and the steps taken since it was set
+    lo, hi, flo, fhi = lo[act], hi[act], flo[act], fhi[act]
+    last, ref, age = np.zeros(len(act)), hi - lo, np.zeros(len(act))
+    while len(act):
+        tol = _ZERO_XTOL + _ZERO_RTOL * np.abs(hi)
+        c = hi - fhi * ((hi - lo) / (fhi - flo))
+        # a secant step within tol / 2 of the end moved last is lengthened
+        # to tol / 2 toward the other end: across a zero that near, it
+        # closes the bracket
+        end = np.where(last > 0, hi, lo)
+        short = (last != 0) & (np.abs(c - end) < tol / 2)
+        c = np.where(short, end - last * tol / 2, c)
+        # bisect when three steps have not halved the width
+        bisect = (age >= 3) | ~((c > lo) & (c < hi))
+        c = np.where(bisect, 0.5 * (lo + hi), c)
+        fc = _sample(f, c)
+        move_hi = (fc > 0.0) == (fhi > 0.0)
+        # Illinois: an end kept a second time in a row has its value halved
+        flo = np.where(move_hi & (last > 0), 0.5 * flo, flo)
+        fhi = np.where(~move_hi & (last < 0), 0.5 * fhi, fhi)
+        hi, fhi = np.where(move_hi, c, hi), np.where(move_hi, fc, fhi)
+        lo, flo = np.where(move_hi, lo, c), np.where(move_hi, flo, fc)
+        last = np.where(move_hi, 1.0, -1.0)
+        halved = bisect | (hi - lo <= ref / 2)
+        ref, age = np.where(halved, hi - lo, ref), np.where(halved, 0, age + 1)
+        done = (fc == 0.0) | (hi - lo <= tol)
+        out[act[done]] = np.where(fc == 0.0, c, 0.5 * (lo + hi))[done]
+        act, lo, hi, flo, fhi, last, ref, age = (
+            v[~done] for v in (act, lo, hi, flo, fhi, last, ref, age))
+    return out

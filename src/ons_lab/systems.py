@@ -13,6 +13,7 @@ returns a Python float for scalar input.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,6 +35,11 @@ SQRT2 = np.sqrt(2.0)
 #: Largest index for which a sign-system breakpoint list is enumerated
 #: (2**k - 1 entries); beyond this only windowed enumeration is offered.
 SIGN_SYSTEM_BP_MAX = 16
+
+#: Largest sign-system index whose jumps j / 2^k, and the midpoints between
+#: them, are doubles (the smallest positive double is 2^-1074); windowed
+#: enumeration, and with it exact inner products, stop here.
+SIGN_SYSTEM_K_MAX = 1073
 
 _MAX_WINDOW_PIECES = 1 << 20
 
@@ -273,13 +279,25 @@ def _rademacher_breakpoints(k: int) -> tuple:
 
 
 def _rademacher_breakpoints_in(k: int, lo: float, hi: float) -> tuple:
-    denom = float(1 << k) if k < 64 else 2.0 ** k
-    first = int(np.floor(lo * denom)) + 1
-    last = int(np.ceil(hi * denom)) - 1
+    if k > SIGN_SYSTEM_K_MAX:
+        raise InvalidConfig(
+            f"sign system element {k}: jumps j / 2^k are doubles only up to "
+            f"k = {SIGN_SYSTEM_K_MAX}")
+    first = _floor_scaled(lo, k) + 1
+    last = -_floor_scaled(-hi, k) - 1
     if last - first + 1 > _MAX_WINDOW_PIECES:
         raise OnsLabError("window contains too many sign-system jumps")
-    pts = np.arange(first, last + 1) / denom
-    return tuple(pts[(pts > lo) & (pts < hi)])
+    if last >= 1 << 53:
+        raise InvalidConfig(f"sign system element {k}: jumps in "
+                            f"[{lo}, {hi}] are not doubles")
+    return tuple(math.ldexp(j, -k) for j in range(first, last + 1))
+
+
+def _floor_scaled(v: float, k: int) -> int:
+    """``floor(v * 2^k)``, exact: ``v = m * 2^e`` with integer m."""
+    frac, e = math.frexp(v)
+    m, shift = int(math.ldexp(frac, 53)), e - 53 + k
+    return m << shift if shift >= 0 else m >> -shift
 
 
 def rademacher_system() -> SystemHandle:
@@ -531,14 +549,18 @@ def recommended_rule(system: SystemHandle, k_max: int,
     return rule.with_breakpoints(extra_breakpoints) if extra_breakpoints else rule
 
 
+def index_table(fn: Callable, ks, us) -> np.ndarray:
+    """Table ``T[r, j] = fn(ks[r], us[j])`` of a broadcasting evaluator."""
+    ks = np.asarray(ks)
+    us = np.atleast_1d(np.asarray(us, dtype=float))
+    vals = np.asarray(fn(ks[:, None], us[None, :]), dtype=float)
+    shape = (len(ks), len(us))
+    return vals if vals.shape == shape else np.broadcast_to(vals, shape)
+
+
 def eval_matrix(system: SystemHandle, n: int, us, fn: str = "eval") -> np.ndarray:
     """Table ``M[k-1, j] = phi_k(us[j])`` (or of an antiderivative field)."""
-    func = getattr(system, fn)
-    us = np.atleast_1d(np.asarray(us, dtype=float))
-    ks = np.arange(1, n + 1)
-    vals = np.asarray(func(ks[:, None], us[None, :]), dtype=float)
-    shape = (n, len(us))
-    return vals if vals.shape == shape else np.broadcast_to(vals, shape)
+    return index_table(getattr(system, fn), np.arange(1, n + 1), us)
 
 
 def system_values(system: SystemHandle, n: int, x: float) -> np.ndarray:
@@ -562,29 +584,31 @@ def _step_inner_product(system: SystemHandle, j: int, k: int) -> float:
     compatible periods the sum runs over a single common period only, which
     keeps sign-system products with ~2**k jumps tractable.
     """
-    window, count = 1.0, 1
+    window, count = Fraction(1), 1
     if system.period is not None:
         pj, pk = system.period(j), system.period(k)
         if pj is not None and pk is not None:
             big, small = max(pj, pk), min(pj, pk)
             if (big / small).denominator == 1 and (1 / big).denominator == 1:
-                window, count = float(big), int(1 / big)
+                window, count = big, int(1 / big)
 
     def pieces(idx: int) -> int:
         if system.period is not None and system.period(idx) is not None:
+            period = system.period(idx)
             per_period = len(_window_breakpoints(
-                system, idx, 0.0, float(system.period(idx)))) + 1
-            return int(round(window / float(system.period(idx)))) * per_period
+                system, idx, 0.0, float(period))) + 1
+            return round(window / period) * per_period
         return len(system.breakpoints(idx)) + 1
 
     coarse, fine = (j, k) if pieces(j) <= pieces(k) else (k, j)
-    edges = np.array([0.0, *_window_breakpoints(system, coarse, 0.0, window),
-                      window])
+    edges = np.array([0.0, *_window_breakpoints(system, coarse, 0.0,
+                                                float(window)), float(window)])
     mids = (edges[:-1] + edges[1:]) / 2.0
     coarse_vals = np.asarray(system.eval(coarse, mids), dtype=float)
     fine_anti = np.asarray(system.antideriv(fine, edges), dtype=float)
     one_window = float(np.dot(coarse_vals, np.diff(fine_anti)))
-    return count * one_window
+    # exact: count reaches 2^1072, past the largest double
+    return float(count * Fraction(one_window))
 
 
 def inner_product(system: SystemHandle, j: int, k: int,

@@ -105,15 +105,42 @@ class TestExitCodes:
         assert err == f"ons-lab: error: {name} must lie in [0, 1], got 2.0\n"
 
     def test_import_leaves_scipy_optimize_unloaded(self):
-        # scipy.optimize is most of the package's import time; only
-        # integrate_abs needs it
+        # the package needs no scipy: neither importing the CLI nor running
+        # lemma3, whose integrate_abs refines zeros itself, loads any of it
         src = str(Path(ons_lab.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
-        probe = "import sys, ons_lab.cli; print('scipy.optimize' in sys.modules)"
+        probe = ("import os, sys, ons_lab.cli as cli; "
+                 "code = cli.main(['lemma3', '--n-values', '4,16', "
+                 "'--output', os.devnull]); "
+                 "print(code, sorted(m for m in sys.modules "
+                 "if m.split('.')[0] == 'scipy'))")
         out = subprocess.run([sys.executable, "-c", probe], env=env,
                              capture_output=True, text=True, timeout=120,
                              check=True)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "0 []"
+
+    def test_lemma3_refuses_an_index_past_the_cap_before_any_cell(
+            self, tmp_path, capsys, monkeypatch):
+        # n = 64 needs sign-system element 17, past the 16-jump breakpoint
+        # cap; n = 4 and 16 must not be computed first
+        cells = []
+        monkeypatch.setattr(ons_lab.kernels, "cell_abs_integral",
+                            lambda *args: cells.append(args))
+        code, path = run_cli(["lemma3", "--system", "rademacher"], tmp_path)
+        assert code == 1 and not path.exists() and cells == []
+        assert capsys.readouterr().err == (
+            "ons-lab: error: sign system element 17 has 131071 jumps; "
+            "enumerate via breakpoints_in on a window, or use the "
+            "closed-form antiderivative\n")
+
+    def test_sign_system_gram_past_the_index_limit_is_one_line(self, tmp_path,
+                                                               capsys):
+        code, path = run_cli(["gram", "--system", "rademacher", "--n", "1074"],
+                             tmp_path)
+        assert code == 1 and not path.exists()
+        assert capsys.readouterr().err == (
+            "ons-lab: error: sign system element 1074: jumps j / 2^k are "
+            "doubles only up to k = 1073\n")
 
 
 class TestOutputFormats:
@@ -374,6 +401,12 @@ class TestConfigObject:
         with pytest.raises(InvalidConfig,
                            match=f"^{name}: .* that {command} reads$"):
             ExperimentConfig(command=command, **fields)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_unset_fields_take_the_command_line_defaults(self, command):
+        api = ExperimentConfig(command=command)
+        cli = config_from_namespace(build_parser().parse_args([command]))
+        assert vars(api) == vars(cli)
 
     def test_unset_fields_echo_the_old_defaults(self, capsys):
         config = ExperimentConfig(command="eq11", extras={"n_values": (2,)},

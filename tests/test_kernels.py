@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import CATALOG, riemann_midpoint
 from ons_lab import (
     KernelContext,
+    QuadratureRule,
     SystemHandle,
     antiderivative_kernel,
     antiderivative_square_sum,
@@ -22,13 +23,14 @@ from ons_lab import (
     get_function,
     get_system,
     haar_system,
+    integrate,
     kernel_prefix_integral,
     partial_sum,
     recommended_rule,
     system_values,
 )
 from ons_lab.kernels import _prefix_values
-from ons_lab.systems import eval_matrix
+from ons_lab.systems import breakpoints_upto, eval_matrix
 
 SQ2 = np.sqrt(2.0)
 
@@ -75,6 +77,34 @@ class TestAntiderivativeKernel:
         ctx = KernelContext(cosine_system(), 2)
         assert antiderivative_kernel(ctx, 0.25, 0.0) == pytest.approx(
             1.0 / np.pi, abs=1e-14)
+
+
+#: Every catalog name the kernels accept: the systems the experiments
+#: exercise, plus the reflections of the sign system and twice of Haar.
+KERNEL_NAMES = (*CATALOG, "reflect(rademacher)", "reflect2(haar)")
+
+
+class TestLiveRows:
+    # the kernels sum only the rows with phi_k(x) != 0; the dense all-rows
+    # product is the reference, to 1e-15 of the absolute terms' sum
+    @pytest.mark.parametrize("name", KERNEL_NAMES)
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 96),
+           x=st.one_of(st.floats(0.0, 1.0),
+                       st.integers(0, 64).map(lambda j: j / 64)),
+           us=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+    def test_matches_dense_product(self, name, n, x, us):
+        sys_ = get_system(name)
+        ctx = KernelContext(sys_, n)
+        phi_x = system_values(sys_, n, x)
+        us = np.array(us)
+        for kernel, fn in ((dirichlet_kernel, "eval"),
+                           (antiderivative_kernel, "antideriv")):
+            table = eval_matrix(sys_, n, us, fn=fn)
+            want = phi_x @ table
+            tol = 1e-15 * np.maximum(1.0, np.abs(phi_x) @ np.abs(table))
+            assert np.all(np.abs(kernel(ctx, us, x) - want) <= tol)
+            assert abs(kernel(ctx, float(us[0]), x) - want[0]) <= tol[0]
 
 
 class TestPrefixIntegral:
@@ -165,6 +195,77 @@ class TestCellBound:
         ctx = KernelContext(haar_system(), 4)
         with pytest.raises(ValueError):
             cell_abs_integral(ctx, 5, 0.3)
+
+    @pytest.mark.parametrize("name", ["haar", "reflect(haar)", "reflect2(haar)"])
+    @pytest.mark.parametrize("n", [3, 8, 16])
+    def test_step_systems_match_piecewise_linear_oracle(self, name, n):
+        # g_k is linear between the breakpoints of element k, so on each
+        # piece of a cell |K| is the absolute value of a linear function,
+        # integrated exactly through its zero
+        sys_ = get_system(name)
+        ctx = KernelContext(sys_, n)
+        bps = np.array(breakpoints_upto(sys_, n))
+        for x in (0.0, 0.3, 0.7071067811865476):
+            phi_x = system_values(sys_, n, x)
+            for i in range(1, n + 1):
+                lo, hi = (i - 1) / n, i / n
+                edges = np.concatenate(([lo], bps[(bps > lo) & (bps < hi)],
+                                        [hi]))
+                ks = phi_x @ eval_matrix(sys_, n, edges, fn="antideriv")
+                want = sum(_abs_linear_integral(a, b, ka, kb) for a, b, ka, kb
+                           in zip(edges[:-1], edges[1:], ks[:-1], ks[1:]))
+                got = cell_abs_integral(ctx, i, x).value
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-16)
+
+    @pytest.mark.parametrize("name", ["cosine", "reflect(cosine)",
+                                      "reflect2(cosine)"])
+    @pytest.mark.parametrize("n", [3, 8, 16])
+    def test_smooth_systems_match_dense_zero_split(self, name, n):
+        # zeros bracketed on a dense grid and bisected one by one; |K| is
+        # then integrated by a rule much finer than the cell-sized one
+        sys_ = get_system(name)
+        ctx = KernelContext(sys_, n)
+        for x in (0.0, 0.3, 0.7071067811865476):
+            phi_x = system_values(sys_, n, x)
+
+            def kernel(u):
+                return phi_x @ eval_matrix(sys_, n, u, fn="antideriv")
+
+            for i in range(1, n + 1):
+                lo, hi = (i - 1) / n, i / n
+                grid = np.linspace(lo, hi, 4097)
+                vals = kernel(grid)
+                zeros = [_bisect(kernel, a, b) for a, b, fa, fb
+                         in zip(grid[:-1], grid[1:], vals[:-1], vals[1:])
+                         if fa * fb < 0.0]
+                rule = QuadratureRule(panels=8).with_breakpoints(
+                    [*breakpoints_upto(sys_, n), *zeros])
+                want = integrate(lambda u: np.abs(kernel(u)), rule,
+                                 lo, hi).value
+                got = cell_abs_integral(ctx, i, x).value
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-16)
+
+
+def _abs_linear_integral(a, b, ka, kb):
+    """``int_a^b |K|`` for K linear from ka at a to kb at b."""
+    if ka * kb >= 0.0:
+        return 0.5 * (abs(ka) + abs(kb)) * (b - a)
+    z = a + (b - a) * ka / (ka - kb)
+    return 0.5 * (abs(ka) * (z - a) + abs(kb) * (b - z))
+
+
+def _bisect(f, a, b):
+    fa = f(np.array([a]))[0]
+    while b - a > 1e-15:
+        m = 0.5 * (a + b)
+        fm = f(np.array([m]))[0]
+        if fm == 0.0:
+            return m
+        if (fm > 0.0) == (fa > 0.0):
+            a, fa = m, fm
+        else:
+            b = m
+    return 0.5 * (a + b)
 
 
 class TestDirichletMeanIdentity:

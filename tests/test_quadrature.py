@@ -14,6 +14,7 @@ from ons_lab import (
     integrate_abs,
     recommended_rule,
 )
+from ons_lab.quadrature import _refine_zeros
 
 
 def haar_x2(u):
@@ -226,3 +227,70 @@ class TestIntegrateAbs:
         plain = integrate(lambda u: 1.0 + u, rule).value
         absd = integrate_abs(lambda u: 1.0 + u, rule).value
         assert absd == pytest.approx(plain, abs=1e-13)
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 24), ends=st.lists(st.floats(0.0, 1.0),
+                                               min_size=2, max_size=2),
+           bps=st.lists(st.floats(0.0, 1.0), max_size=4))
+    def test_abs_sine_closed_form(self, m, ends, bps):
+        # int_0^t |sin| = 2 q + 1 - cos(r) for t = q pi + r; every zero is
+        # a panel edge, so one panel per piece resolves a half period
+        a, b = sorted(ends)
+        rule = QuadratureRule(panels=1).with_breakpoints(bps)
+        w = 2 * np.pi * m
+
+        def big_f(t):
+            q, r = np.divmod(t, np.pi)
+            return 2 * q + 1 - np.cos(r)
+
+        want = (big_f(w * b) - big_f(w * a)) / w
+        got = integrate_abs(lambda u: np.sin(w * u), rule, a, b).value
+        assert got == pytest.approx(want, abs=1e-13)
+
+    @settings(max_examples=40, deadline=None)
+    @given(ends=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2,
+                         unique=True),
+           j=st.integers(1, 255))
+    def test_exact_zero_at_a_scan_point(self, ends, j):
+        # |u - z| is a kink that only a breakpoint at z integrates exactly;
+        # u - z rounds to within eps |u| at every node
+        a, b = sorted(ends)
+        z = np.linspace(a, b, 257)[j]
+        got = integrate_abs(lambda u: u - z, QuadratureRule(), a, b).value
+        assert got == pytest.approx(((z - a) ** 2 + (b - z) ** 2) / 2,
+                                    rel=1e-14, abs=2e-16 * (b - a))
+
+    def test_bracket_that_stops_straddling_takes_its_midpoint(self):
+        # the scan sees one sign change; evaluated again, the bracket is
+        # positive at both ends, so its midpoint is the only new breakpoint
+        calls = []
+
+        def flaky(u):
+            calls.append(len(u))
+            return np.where(u < 0.5, -1.0, 1.0) if len(calls) == 1 else \
+                np.ones_like(u)
+
+        res = integrate_abs(flaky, QuadratureRule(panels=1))
+        assert res.value == pytest.approx(1.0, abs=1e-15)
+        assert res.panels_used == 2 * 2
+        assert calls == [257, 2, 32, 64]
+
+    def test_refined_zeros(self):
+        # endpoints where f vanishes, brackets that straddle a zero and one
+        # that does not, refined in one batch
+        roots = np.array([0.123456789, 0.25, 0.65])
+        got = _refine_zeros(lambda u: np.prod(u[:, None] - roots, axis=1),
+                            np.array([0.1, 0.25, 0.6, 0.3]),
+                            np.array([0.2, 0.4, 0.7, 0.5]))
+        assert np.abs(got - [0.123456789, 0.25, 0.65, 0.4]).max() <= 2e-15
+
+    @settings(max_examples=60, deadline=None)
+    @given(r=st.floats(0.0, 1.0), p=st.integers(1, 5),
+           pad=st.lists(st.floats(1e-12, 0.2), min_size=2, max_size=2))
+    def test_refined_zero_is_within_tolerance(self, r, p, pad):
+        lo, hi = max(0.0, r - pad[0]), min(1.0, r + pad[1])
+        if not lo < r < hi:
+            return
+        got = _refine_zeros(lambda u: np.sign(u - r) * np.abs(u - r) ** p,
+                            np.array([lo]), np.array([hi]))
+        assert abs(got[0] - r) <= 1e-15 + 4 * np.finfo(float).eps

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import CATALOG, gram_tolerance
 from ons_lab import (
+    InvalidConfig,
     QuadratureRule,
     UnknownFunction,
     UnknownSystem,
@@ -25,6 +27,7 @@ from ons_lab import (
     recommended_rule,
     system_values,
 )
+from ons_lab.systems import SIGN_SYSTEM_K_MAX
 
 SQ2 = np.sqrt(2.0)
 
@@ -112,6 +115,36 @@ class TestRademacher:
         pts = sys_.breakpoints_in(20, 0.0, 2.0 ** -18)
         assert len(pts) == 3
         assert all(0.0 < p < 2.0 ** -18 for p in pts)
+
+    @settings(max_examples=100, deadline=None)
+    @given(k=st.integers(1, SIGN_SYSTEM_K_MAX), lo=st.floats(0.0, 1.0),
+           width=st.integers(0, 40))
+    def test_windowed_breakpoints_are_exact(self, k, lo, width):
+        # every j / 2^k strictly inside (lo, hi), each exactly; lo is
+        # scaled below 2^(52 - k), so j < 2^53 makes j / 2^k a double, and
+        # hi lies a few jumps further
+        lo = math.ldexp(lo, min(0, 52 - k))
+        hi = min(1.0, lo + width * 2.0 ** -k)
+        want = [Fraction(j, 2 ** k)
+                for j in range(math.floor(Fraction(lo) * 2 ** k),
+                               math.ceil(Fraction(hi) * 2 ** k) + 1)
+                if Fraction(lo) < Fraction(j, 2 ** k) < Fraction(hi)]
+        got = rademacher_system().breakpoints_in(k, lo, hi)
+        assert [Fraction(p) for p in got] == want
+
+    def test_windowed_breakpoints_refuse_what_doubles_cannot_hold(self):
+        sys_ = rademacher_system()
+        with pytest.raises(InvalidConfig, match="element 1074: jumps"):
+            sys_.breakpoints_in(1074, 0.0, 2.0 ** -1073)
+        with pytest.raises(InvalidConfig, match="are not doubles"):
+            sys_.breakpoints_in(60, 0.5, 0.5 + 2.0 ** -45)
+
+    def test_inner_products_past_1024(self):
+        sys_ = rademacher_system()
+        assert inner_product(sys_, 1, 1024) == 0.0
+        assert inner_product(sys_, 1024, 1024) == 1.0
+        assert inner_product(sys_, SIGN_SYSTEM_K_MAX, SIGN_SYSTEM_K_MAX) == 1.0
+        assert inner_product(sys_, 1, SIGN_SYSTEM_K_MAX) == 0.0
 
 
 class TestAntiderivativeConsistency:
@@ -266,13 +299,13 @@ class TestGram:
     @settings(max_examples=12, deadline=None)
     @given(data=st.data())
     def test_random_row_is_identity(self, name, data):
-        # step systems take exact products (rademacher windows need 2^j
-        # finite, j < 1024); quadrature rules for smooth elements grow
-        # with k, so those rows stay short
+        # step systems take exact products, the sign system up to the
+        # index whose jumps are still doubles; quadrature rules for smooth
+        # elements grow with k, so those rows stay short
         sys_ = get_system(name)
-        k = data.draw(st.integers(1, 1000 if sys_.piecewise_constant else 40),
-                      label="k")
-        js = data.draw(st.lists(st.integers(1, k + 8), min_size=1,
+        top = SIGN_SYSTEM_K_MAX if sys_.piecewise_constant else 40
+        k = data.draw(st.integers(1, top), label="k")
+        js = data.draw(st.lists(st.integers(1, min(k + 8, top)), min_size=1,
                                 max_size=12, unique=True), label="js")
         row = np.array([inner_product(sys_, j, k) for j in js])
         want = np.array([float(j == k) for j in js])
