@@ -91,7 +91,8 @@ class KernelContext:
         if self.system.antideriv is not None:
             return index_table(self.system.antideriv, ks, us)
         us = np.atleast_1d(np.asarray(us, dtype=float))
-        return np.stack([self._numeric_g(int(k), us) for k in ks])
+        return np.array([self._numeric_g(int(k), us)
+                         for k in ks]).reshape(len(ks), len(us))
 
     def _numeric_g(self, k: int, us: np.ndarray) -> np.ndarray:
         order = np.argsort(us, kind="stable")

@@ -236,9 +236,8 @@ def integrate_abs(f: Callable, rule: QuadratureRule,
     ``scan_points`` intervals in every breakpoint segment of ``[a, b]``.
     Each sign change brackets a zero.  The bracket endpoints are evaluated
     again, together, and the brackets that still straddle zero are all
-    narrowed at once, one call of ``f`` per step of regula falsi with the
-    Illinois rule, to about 1e-15; a bracket that no longer straddles zero
-    gives its midpoint.  These points, and
+    bisected at once, one call of ``f`` per step, to about 1e-15; a bracket
+    that no longer straddles zero gives its midpoint.  These points, and
     interior scan points where ``f`` is exactly zero, join the breakpoints
     of ``[a, b]``, so that every panel of the final :func:`integrate` pass
     sees a single-signed smooth integrand.  Tight zero pairs below the scan
@@ -268,10 +267,10 @@ def _refine_zeros(f: Callable, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     The endpoints are evaluated again first: a value taken in another call
     can differ in the last ulp near a zero.  An endpoint where ``f`` is zero
     is the zero, and a bracket whose endpoints no longer differ in sign
-    gives its midpoint.  The rest are narrowed together, one call of ``f``
-    per step, by regula falsi with the Illinois rule: a bracket ends with
-    the step where ``f`` is zero, or once no wider than 1e-15 plus four
-    ulps of its position, when its midpoint is the zero.
+    gives its midpoint.  The rest are bisected together, one call of ``f``
+    per step: a bracket ends with the step where ``f`` is zero, or once no
+    wider than 1e-15 plus four ulps of its position, when its midpoint is
+    the zero.
     """
     if len(lo) == 0:
         return lo
@@ -280,34 +279,13 @@ def _refine_zeros(f: Callable, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     out = np.where(flo == 0.0, lo, np.where(fhi == 0.0, hi, 0.5 * (lo + hi)))
     act = np.flatnonzero((flo != 0.0) & (fhi != 0.0)
                          & ((flo > 0.0) != (fhi > 0.0)))
-    # per bracket also: the end moved last (-1 lo, +1 hi, 0 none yet), the
-    # width the next steps must halve, and the steps taken since it was set
-    lo, hi, flo, fhi = lo[act], hi[act], flo[act], fhi[act]
-    last, ref, age = np.zeros(len(act)), hi - lo, np.zeros(len(act))
+    lo, hi, hi_pos = lo[act], hi[act], fhi[act] > 0.0
     while len(act):
-        tol = _ZERO_XTOL + _ZERO_RTOL * np.abs(hi)
-        c = hi - fhi * ((hi - lo) / (fhi - flo))
-        # a secant step within tol / 2 of the end moved last is lengthened
-        # to tol / 2 toward the other end: across a zero that near, it
-        # closes the bracket
-        end = np.where(last > 0, hi, lo)
-        short = (last != 0) & (np.abs(c - end) < tol / 2)
-        c = np.where(short, end - last * tol / 2, c)
-        # bisect when three steps have not halved the width
-        bisect = (age >= 3) | ~((c > lo) & (c < hi))
-        c = np.where(bisect, 0.5 * (lo + hi), c)
-        fc = _sample(f, c)
-        move_hi = (fc > 0.0) == (fhi > 0.0)
-        # Illinois: an end kept a second time in a row has its value halved
-        flo = np.where(move_hi & (last > 0), 0.5 * flo, flo)
-        fhi = np.where(~move_hi & (last < 0), 0.5 * fhi, fhi)
-        hi, fhi = np.where(move_hi, c, hi), np.where(move_hi, fc, fhi)
-        lo, flo = np.where(move_hi, lo, c), np.where(move_hi, flo, fc)
-        last = np.where(move_hi, 1.0, -1.0)
-        halved = bisect | (hi - lo <= ref / 2)
-        ref, age = np.where(halved, hi - lo, ref), np.where(halved, 0, age + 1)
-        done = (fc == 0.0) | (hi - lo <= tol)
-        out[act[done]] = np.where(fc == 0.0, c, 0.5 * (lo + hi))[done]
-        act, lo, hi, flo, fhi, last, ref, age = (
-            v[~done] for v in (act, lo, hi, flo, fhi, last, ref, age))
+        mid = 0.5 * (lo + hi)
+        fm = _sample(f, mid)
+        move_hi = (fm > 0.0) == hi_pos
+        lo, hi = np.where(move_hi, lo, mid), np.where(move_hi, mid, hi)
+        done = (fm == 0.0) | (hi - lo <= _ZERO_XTOL + _ZERO_RTOL * np.abs(hi))
+        out[act[done]] = np.where(fm == 0.0, mid, 0.5 * (lo + hi))[done]
+        act, lo, hi, hi_pos = (v[~done] for v in (act, lo, hi, hi_pos))
     return out

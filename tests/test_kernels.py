@@ -333,6 +333,20 @@ class TestNumericAntiderivativeFallback:
         assert abs(boundedness_functional(ctx_num, 0.3)
                    - boundedness_functional(ctx_ref, 0.3)) < 1e-9
 
+    def test_no_live_rows_give_a_zero_kernel(self):
+        # every sine element vanishes at x = 0, so no row is live
+        sine = SystemHandle(
+            name="sine-stripped",
+            eval=lambda k, u: np.sqrt(2.0) * np.sin(2 * np.pi * k * u),
+            antideriv=None, breakpoints=lambda k: (), smooth=True)
+        ctx, us = KernelContext(sine, 4), np.linspace(0.0, 1.0, 9)
+        assert ctx.g_values([], us).shape == (0, 9)
+        assert np.array_equal(antiderivative_kernel(ctx, us, 0.0),
+                              np.zeros(9))
+        assert antiderivative_kernel(ctx, 0.3, 0.0) == 0.0
+        assert dirichlet_kernel(ctx, 0.3, 0.0) == 0.0
+        assert cell_abs_integral(ctx, 2, 0.0).value == 0.0
+
     def test_cached_rows_match_recomputation(self):
         # the numeric prefix table against cosine's closed-form one
         ctx = KernelContext(_stripped_cosine(), 8)

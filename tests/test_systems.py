@@ -305,7 +305,8 @@ class TestGram:
         sys_ = get_system(name)
         top = SIGN_SYSTEM_K_MAX if sys_.piecewise_constant else 40
         k = data.draw(st.integers(1, top), label="k")
-        js = data.draw(st.lists(st.integers(1, min(k + 8, top)), min_size=1,
+        j_top = min(k + 8, top) if sys_.piecewise_constant else k + 8
+        js = data.draw(st.lists(st.integers(1, j_top), min_size=1,
                                 max_size=12, unique=True), label="js")
         row = np.array([inner_product(sys_, j, k) for j in js])
         want = np.array([float(j == k) for j in js])
