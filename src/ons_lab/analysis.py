@@ -19,18 +19,19 @@ from .errors import InvalidConfig
 from .fourier import CoefficientTable, coefficients, partial_sum_sweep
 from .kernels import (
     KernelContext,
-    _check_x,
+    _prefix_rows,
     antiderivative_kernel,
     boundedness_functional,
 )
-from .quadrature import cumulative_integral, integrate
+from .quadrature import cumulative_integral
 from .systems import (
     FunctionSpec,
     SystemHandle,
+    _check_x,
     cosine_system,
     get_function,
     haar_system,
-    recommended_rule,
+    system_values,
 )
 
 DEFAULT_X_GRID = (0.0, 0.3, 1.0 / np.sqrt(2.0), 1.0)
@@ -126,8 +127,6 @@ def square_sum_ratio(system: SystemHandle, x: float, n_max: int,
     For any orthonormal system this stays bounded at almost every point;
     probing it flags evaluation points where kernel mass concentrates.
     """
-    from .systems import system_values
-
     phi = system_values(system, n_max, x)
     ns = np.arange(1, n_max + 1, dtype=float)
     vals = np.cumsum(phi ** 2) * ns ** -1.5
@@ -304,18 +303,15 @@ class LinkageReport:
 def prefix_mean_linkage(system: SystemHandle, x: float, n_max: int,
                         thresholds: Optional[ClassificationThresholds] = None
                         ) -> LinkageReport:
-    """Diagnostic-level check of the mean-kernel linkage at one point."""
-    from .systems import system_values
+    """Diagnostic-level check of the mean-kernel linkage at one point.
 
-    rule = recommended_rule(system, n_max)
+    The means are ``int_0^1 phi_k = g_k(1)`` and the prefix rows at 1.
+    """
     phi_x = system_values(system, n_max, x)
-    ks = range(1, n_max + 1)
-    phi_means = np.array([integrate(
-        lambda u, k=k: np.asarray(system.eval(k, u), dtype=float),
-        rule.with_breakpoints(system.breakpoints(k))).value for k in ks])
-    ctx = KernelContext(system, n_max, rule)
-    g_means = np.array([integrate(
-        lambda u, k=k: ctx.g_values([k], u)[0], rule).value for k in ks])
+    ctx = KernelContext(system, n_max)
+    ks = np.arange(1, n_max + 1)
+    phi_means = ctx.g_values(ks, [1.0])[:, 0]
+    g_means = _prefix_rows(ctx, ks, [1.0])[:, 0]
     b_vals = np.abs(np.cumsum(phi_means * phi_x))
     q_vals = np.abs(np.cumsum(g_means * phi_x))
     ns = np.arange(1, n_max + 1)
@@ -350,13 +346,8 @@ def extremal_lipschitz(ctx: KernelContext, t: float,
                             f"grid_size >= 64, got {grid_size}")
     _check_x(t, "t")
     ys = np.linspace(0.0, 1.0, grid_size + 1)
-    if ctx.system.antideriv2 is not None:
-        from .systems import eval_matrix, system_values
-        table = eval_matrix(ctx.system, ctx.n, ys, fn="antideriv2")
-        prefix = table.T @ system_values(ctx.system, ctx.n, t)
-    else:
-        prefix = cumulative_integral(lambda u: antiderivative_kernel(ctx, u, t),
-                                     ys, ctx.rule)
+    rows = _prefix_rows(ctx, np.arange(1, ctx.n + 1), ys)
+    prefix = rows.T @ system_values(ctx.system, ctx.n, t)
     slopes = np.sign(prefix)
     step = 1.0 / grid_size
     values = np.concatenate([[0.0],
@@ -406,14 +397,11 @@ def pairing_split(ctx: KernelContext, f: FunctionSpec, t: float) -> PairingSplit
     rule = ctx.rule.with_breakpoints(f.breakpoints) if f.breakpoints else ctx.rule
     grid = np.arange(1, n + 1) / n
 
-    def q_section(u):
-        return antiderivative_kernel(ctx, u, t)
+    def q_and_fq(u):
+        q = antiderivative_kernel(ctx, u, t)
+        return np.stack((q, np.asarray(f.eval(u), dtype=float) * q))
 
-    def f_eval(u):
-        return np.broadcast_to(np.asarray(f.eval(u), dtype=float), u.shape)
-
-    q_prefix = cumulative_integral(q_section, grid, rule)
-    fq_prefix = cumulative_integral(lambda u: f_eval(u) * q_section(u), grid, rule)
+    q_prefix, fq_prefix = cumulative_integral(q_and_fq, grid, rule)
     q_cells = np.diff(q_prefix, prepend=0.0)
     fq_cells = np.diff(fq_prefix, prepend=0.0)
     f_grid = np.asarray(f.eval(grid), dtype=float)

@@ -22,11 +22,12 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import IndexOutOfRange, InvalidConfig, MissingDerivative
-from .kernels import KernelContext, _check_x, antiderivative_kernel, dirichlet_mean
+from .kernels import KernelContext, antiderivative_kernel, dirichlet_mean
 from .quadrature import QuadratureRule, cell_mesh, cumulative_integral, integrate
 from .systems import (
     FunctionSpec,
     SystemHandle,
+    _check_x,
     eval_matrix,
     recommended_rule,
     system_values,
@@ -70,6 +71,8 @@ def partial_sum(table: CoefficientTable, n: int, x) -> float:
     if x_arr.ndim == 0:
         phi = system_values(table.system, n, float(x_arr))
         return math.fsum(table.coeffs[:n] * phi)
+    for point in x_arr.flat:
+        _check_x(point)
     values = eval_matrix(table.system, n, x_arr)
     return table.coeffs[:n] @ values
 
@@ -163,16 +166,14 @@ def summation_identity(f: FunctionSpec, F: Union[Callable, FunctionSpec], n: int
 
     deriv = f.deriv
 
-    def fp(u):
-        return np.broadcast_to(np.asarray(deriv(u), dtype=float), u.shape)
-
-    def big_f(u):
-        return np.broadcast_to(np.asarray(F_eval(u), dtype=float), u.shape)
+    def fp_F_prod(u):
+        fp = np.broadcast_to(np.asarray(deriv(u), dtype=float), u.shape)
+        big_f = np.broadcast_to(np.asarray(F_eval(u), dtype=float), u.shape)
+        return np.stack((fp, big_f, fp * big_f))
 
     grid = np.arange(1, n + 1) / n
-    fp_prefix = cumulative_integral(fp, grid, rule)
-    F_prefix = cumulative_integral(big_f, grid, rule)
-    prod_prefix = cumulative_integral(lambda u: fp(u) * big_f(u), grid, rule)
+    fp_prefix, F_prefix, prod_prefix = cumulative_integral(fp_F_prod, grid,
+                                                           rule)
     fp_cells = np.diff(fp_prefix, prepend=0.0)
     F_cells = np.diff(F_prefix, prepend=0.0)
     prod_cells = np.diff(prod_prefix, prepend=0.0)

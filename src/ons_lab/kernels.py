@@ -12,14 +12,16 @@ mesh ``i/n``:
 which stays O(1) in ``n`` exactly for the well-behaved systems the
 experiments target.
 
-The prefix integrals at ``i/n`` are rows of ``int_0^{i/n} g_k``, one per
-index k.  For the cosine system, whose second antiderivatives are
-``c_k (1 - cos 2 pi k u)``, all n of them are one real FFT of length n,
-O(n log n) per ``(n, x)``.  A Haar ``phi(x)`` has few nonzero entries and
-takes only their rows; other systems share one ``(n, n)`` table across
-evaluation points.  Rows come from the closed-form second antiderivative
-when the system has one, and otherwise from quadrature of ``g_k`` over
-the cells of the mesh ``i/n``.
+Every prefix integral of the kernel is a weighted sum of rows
+``int_0^t g_k``, one per index k, and every such row comes from
+:func:`_prefix_rows` on a sorted grid of t: the closed-form second
+antiderivative when the system has one, and otherwise one row-valued
+:func:`cumulative_integral` pass over ``g_k`` with cell-sized panels.
+On the mesh ``i/n`` the cosine system, whose second antiderivatives are
+``c_k (1 - cos 2 pi k u)``, skips the rows: all n prefixes are one real
+FFT of length n, O(n log n) per ``(n, x)``.  A Haar ``phi(x)`` has few
+nonzero entries and takes only their rows; other systems share one
+``(n, n)`` table across evaluation points.
 
 A :class:`KernelContext` pins ``(system, n, rule)`` and caches the
 prefix table shared by every evaluation point, so sweeps over ``x``
@@ -43,12 +45,11 @@ from .errors import InvalidConfig
 from .quadrature import (
     IntegrationResult,
     QuadratureRule,
-    cell_mesh,
     cumulative_integral,
     integrate,
     integrate_abs,
 )
-from .systems import (SystemHandle, index_table, recommended_rule,
+from .systems import (SystemHandle, _check_x, index_table, recommended_rule,
                       system_values)
 
 
@@ -87,21 +88,17 @@ class KernelContext:
     # -- antiderivative evaluation -------------------------------------
 
     def g_values(self, ks: Sequence[int], us: np.ndarray) -> np.ndarray:
-        """Table ``G[r, j] = g_{ks[r]}(us[j])``, closed form or numeric."""
+        """Table ``G[r, j] = g_{ks[r]}(us[j])``, closed form or else one
+        :func:`cumulative_integral` pass with the rule for indices <= n."""
         if self.system.antideriv is not None:
             return index_table(self.system.antideriv, ks, us)
         us = np.atleast_1d(np.asarray(us, dtype=float))
-        return np.array([self._numeric_g(int(k), us)
-                         for k in ks]).reshape(len(ks), len(us))
-
-    def _numeric_g(self, k: int, us: np.ndarray) -> np.ndarray:
-        order = np.argsort(us, kind="stable")
-        grid = us[order]
-        rule = self.rule.with_breakpoints(self.system.breakpoints(k))
-        vals = cumulative_integral(lambda u: np.asarray(self.system.eval(k, u),
-                                                        dtype=float), grid, rule)
-        out = np.empty_like(vals)
-        out[order] = vals
+        out = np.zeros((len(ks), len(us)))
+        if len(us):
+            order = np.argsort(us, kind="stable")
+            out[:, order] = cumulative_integral(
+                partial(index_table, self.system.eval, ks), us[order],
+                self.rule)
         return out
 
     # -- shared tables -------------------------------------------------
@@ -111,33 +108,35 @@ class KernelContext:
         with self._lock:
             table = self._prefix_table
         if table is None:
-            table = _prefix_rows(self, np.arange(1, self.n + 1))
+            table = _prefix_rows(self, np.arange(1, self.n + 1),
+                                 np.arange(1, self.n + 1) / self.n)
             with self._lock:
                 self._prefix_table = table
         return table
 
 
-def _prefix_rows(ctx: KernelContext, ks: np.ndarray) -> np.ndarray:
-    """Rows ``R[r, i - 1] = int_0^{i/n} g_{ks[r]}`` for i = 1..n.
+def _prefix_rows(ctx: KernelContext, ks: np.ndarray, ts) -> np.ndarray:
+    """Rows ``R[r, j] = int_0^{ts[j]} g_{ks[r]}`` on a sorted grid in [0, 1].
 
-    Closed-form second antiderivatives when the system has them; otherwise
-    ``g_k`` is integrated over the cells of the mesh ``i/n``, split at the
-    rule's breakpoints, and prefix-summed.
+    The one place prefix integrals of ``g_k`` are made: the closed-form
+    second antiderivative when the system has one; otherwise one
+    :func:`cumulative_integral` pass over the ``g_k`` rows, whose panels
+    per breakpoint segment are the widest cell's share of the rule's.
     """
-    ts = np.arange(1, ctx.n + 1) / ctx.n
     if ctx.system.antideriv2 is not None:
-        return np.asarray(ctx.system.antideriv2(ks[:, None], ts[None, :]),
-                          dtype=float)
-    nodes, weights, starts = cell_mesh(np.concatenate(([0.0], ts)), ctx.rule,
-                                       _cell_panels(ctx))
-    cells = np.add.reduceat(ctx.g_values(ks, nodes) * weights, starts, axis=1)
-    return np.cumsum(cells, axis=1)
+        return index_table(ctx.system.antideriv2, ks, ts)
+    width = np.diff(ts, prepend=0.0).max()
+    rule = dataclasses.replace(ctx.rule,
+                               panels=_cell_panels(ctx.rule, width))
+    return cumulative_integral(partial(ctx.g_values, ks), ts, rule)
 
 
-def _cell_panels(ctx: KernelContext) -> int:
-    """Panels per breakpoint segment in a cell of width 1/n: the share of
-    the rule's panels for [0, 1] that falls on one cell, at least two."""
-    return max(2, -(-ctx.rule.panels // ctx.n))
+def _cell_panels(rule: QuadratureRule, width: float) -> int:
+    """Panels per breakpoint segment in a cell of the given width: the share
+    of the rule's panels for [0, 1] that falls on it, at least two.  A width
+    that exceeds a share only by the rounding of the grid's differences
+    keeps that share."""
+    return max(2, math.ceil(rule.panels * width * (1.0 - 1e-9)))
 
 
 # ---------------------------------------------------------------------------
@@ -175,20 +174,12 @@ def _live_sum(table, ks: np.ndarray, weights: np.ndarray, u):
 def kernel_prefix_integral(ctx: KernelContext, t: float, x: float) -> float:
     """Prefix integral ``int_0^t`` of the antiderivative kernel at x.
 
-    Uses the closed-form second antiderivative when the system provides
-    one, otherwise breakpoint-aware quadrature.
+    An exact sum over the rows of :func:`_prefix_rows` where
+    ``phi_k(x) != 0``.
     """
     _check_x(t, "t")
-    _check_x(x)
-    if t == 0.0:
-        return 0.0
-    if ctx.system.antideriv2 is not None:
-        phi_x = system_values(ctx.system, ctx.n, x)
-        ks = np.arange(1, ctx.n + 1)
-        a2 = np.asarray(ctx.system.antideriv2(ks, t), dtype=float)
-        return math.fsum(a2 * phi_x)
-    return integrate(lambda u: antiderivative_kernel(ctx, u, x),
-                     ctx.rule, 0.0, t).value
+    ks, weights = _live_rows(ctx, x)
+    return math.fsum(_prefix_rows(ctx, ks, [t])[:, 0] * weights)
 
 
 def boundedness_functional(ctx: KernelContext, x: float) -> float:
@@ -201,31 +192,27 @@ def boundedness_functional(ctx: KernelContext, x: float) -> float:
     """
     if ctx.n < 2:
         raise ValueError("boundedness functional needs n >= 2")
-    _check_x(x)
     prefixes = _prefix_values(ctx, x)
     return float(np.abs(prefixes[:ctx.n - 1]).sum() / ctx.n)
 
 
-def _check_x(x: float, name: str = "x") -> None:
-    if not 0.0 <= x <= 1.0:             # also rejects NaN
-        raise InvalidConfig(f"{name} must lie in [0, 1], got {x}")
-
-
 def _prefix_values(ctx: KernelContext, x: float) -> np.ndarray:
-    """Prefix integrals at i/n for i = 1..n.
+    """Prefix integrals of the antiderivative kernel at i/n for i = 1..n.
 
     A system whose second antiderivative is ``c_k (1 - cos 2 pi k u)``
-    takes one real DFT of ``c_k phi_k(x)``.  Otherwise a ``phi(x)`` with
-    zeros (a Haar vector has at most log2(n) + 2 nonzero entries) takes
-    only the rows of its nonzero entries; a full-support one uses the
-    shared table.
+    takes one real DFT of ``c_k phi_k(x)``.  Otherwise the prefixes are
+    ``phi(x)`` times rows of :func:`_prefix_rows` on the mesh: a
+    ``phi(x)`` with zeros (a Haar vector has at most log2(n) + 2 nonzero
+    entries) takes only the rows of its nonzero entries, and a
+    full-support one the shared table.
     """
     phi_x = system_values(ctx.system, ctx.n, x)
     if ctx.system.antideriv2_cos is not None:
         return _cosine_prefix_values(ctx, phi_x)
     live = np.flatnonzero(phi_x)
     if len(live) < ctx.n:
-        return phi_x[live] @ _prefix_rows(ctx, live + 1)
+        return phi_x[live] @ _prefix_rows(ctx, live + 1,
+                                         np.arange(1, ctx.n + 1) / ctx.n)
     return ctx.prefix_table().T @ phi_x
 
 
@@ -249,7 +236,6 @@ def boundedness_functional_naive(ctx: KernelContext, x: float) -> float:
     """
     if ctx.n < 2:
         raise ValueError("boundedness functional needs n >= 2")
-    _check_x(x)
     total = 0.0
     for i in range(1, ctx.n):
         res = integrate(lambda u: antiderivative_kernel(ctx, u, x),
@@ -264,13 +250,14 @@ def cell_abs_integral(ctx: KernelContext, i: int, x: float) -> IntegrationResult
     The cell ``[(i - 1)/n, i/n]`` is integrated by :func:`integrate_abs`
     with the rule's breakpoints but cell-sized panels: ``max(2,
     ceil(rule.panels / n))`` per breakpoint segment, the share of the
-    panels for [0, 1] that falls on one cell.  The kernel's zeros in the
-    cell are found in one sampled scan and refined together, and the kernel
-    takes only the rows where ``phi_k(x) != 0``.
+    panels for [0, 1] that falls on one cell (:func:`_cell_panels`).  The
+    kernel's zeros in the cell are found in one sampled scan and refined
+    together, and the kernel takes only the rows where ``phi_k(x) != 0``.
     """
     if not 1 <= i <= ctx.n:
         raise ValueError("cell index must satisfy 1 <= i <= n")
-    rule = dataclasses.replace(ctx.rule, panels=_cell_panels(ctx))
+    rule = dataclasses.replace(ctx.rule,
+                               panels=_cell_panels(ctx.rule, 1.0 / ctx.n))
     rows = _live_rows(ctx, x)
     return integrate_abs(lambda u: _live_sum(ctx.g_values, *rows, u),
                          rule, (i - 1) / ctx.n, i / ctx.n)

@@ -13,8 +13,9 @@ Every node set comes from :func:`cell_mesh`, which lays those panels
 over the cells of a grid.
 
 Integrands must accept a numpy array of abscissae and return values of
-the same shape (scalar returns are broadcast).  All functions here are
-pure and safe for concurrent use.
+the same shape (scalar returns are broadcast); :func:`cumulative_integral`
+also takes integrands that return a table with one row per function.  All
+functions here are pure and safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -160,8 +161,10 @@ def _inner_breakpoints(rule: QuadratureRule, a: float, b: float) -> np.ndarray:
 
 
 def _sample(f: Callable, nodes: np.ndarray) -> np.ndarray:
+    """``f(nodes)``; values whose last axis runs over the nodes keep their
+    leading (row) axes, anything else is broadcast to the nodes' shape."""
     vals = np.asarray(f(nodes), dtype=float)
-    if vals.shape != nodes.shape:
+    if vals.shape[-1:] != nodes.shape:
         vals = np.broadcast_to(vals, nodes.shape)
     if not np.all(np.isfinite(vals)):
         raise NonFiniteIntegrand("integrand returned a non-finite value")
@@ -169,9 +172,11 @@ def _sample(f: Callable, nodes: np.ndarray) -> np.ndarray:
 
 
 def _sample_blocks(f: Callable, nodes: np.ndarray) -> np.ndarray:
-    """``f`` on many nodes, one call per ``_SAMPLE_BLOCK`` of them."""
+    """``f`` on many nodes, one call per ``_SAMPLE_BLOCK`` of them; no nodes
+    still make one call, which tells how many rows ``f`` returns."""
     return np.concatenate([_sample(f, nodes[i:i + _SAMPLE_BLOCK])
-                           for i in range(0, len(nodes), _SAMPLE_BLOCK)])
+                           for i in range(0, max(len(nodes), 1),
+                                          _SAMPLE_BLOCK)], axis=-1)
 
 
 def integrate(f: Callable, rule: QuadratureRule,
@@ -213,18 +218,22 @@ def cumulative_integral(f: Callable, grid: Sequence[float],
     :func:`integrate` (``2 * rule.panels`` panels per breakpoint segment);
     ``f`` is sampled over that whole mesh, in blocks of nodes, summed per
     cell and prefix-summed.  No error estimate is formed.
+
+    ``f`` may return a table ``(rows, nodes)``, one row per integrand; the
+    result is then ``(rows, len(grid))``, and each row is bitwise the value
+    of the call on that row's integrand alone.
     """
     pts = np.asarray(grid, dtype=float)
     if pts.ndim != 1 or len(pts) == 0:
         raise InvalidInterval("grid must be a non-empty 1-d sequence")
     nodes, weights, starts = cell_mesh(np.concatenate([[0.0], pts]), rule,
                                        2 * rule.panels)
-    cells = np.zeros(len(pts))
+    vals = weights * _sample_blocks(f, nodes)
+    cells = np.zeros(vals.shape[:-1] + pts.shape)
     filled = np.diff(starts, append=len(nodes)) > 0
     if np.any(filled):
-        cells[filled] = np.add.reduceat(weights * _sample_blocks(f, nodes),
-                                        starts[filled])
-    return np.cumsum(cells)
+        cells[..., filled] = np.add.reduceat(vals, starts[filled], axis=-1)
+    return np.cumsum(cells, axis=-1)
 
 
 def integrate_abs(f: Callable, rule: QuadratureRule,

@@ -564,8 +564,14 @@ def eval_matrix(system: SystemHandle, n: int, us, fn: str = "eval") -> np.ndarra
 
 
 def system_values(system: SystemHandle, n: int, x: float) -> np.ndarray:
-    """Vector ``(phi_1(x), ..., phi_n(x))``."""
+    """Vector ``(phi_1(x), ..., phi_n(x))``; x outside [0, 1] raises."""
+    _check_x(x)
     return eval_matrix(system, n, [x])[:, 0]
+
+
+def _check_x(x: float, name: str = "x") -> None:
+    if not 0.0 <= x <= 1.0:             # also rejects NaN
+        raise InvalidConfig(f"{name} must lie in [0, 1], got {x}")
 
 
 def _window_breakpoints(system: SystemHandle, k: int,

@@ -26,10 +26,14 @@ from ons_lab import (
     integrate,
     kernel_prefix_integral,
     partial_sum,
+    partial_sum_boundedness,
+    partial_sum_sweep,
+    prefix_mean_linkage,
     recommended_rule,
+    square_sum_ratio,
     system_values,
 )
-from ons_lab.kernels import _prefix_values
+from ons_lab.kernels import _prefix_rows, _prefix_values
 from ons_lab.systems import breakpoints_upto, eval_matrix
 
 SQ2 = np.sqrt(2.0)
@@ -360,7 +364,7 @@ class TestNumericAntiderivativeFallback:
         def no_mesh(*args):
             raise AssertionError("closed-form path built a quadrature mesh")
 
-        monkeypatch.setattr("ons_lab.kernels.cell_mesh", no_mesh)
+        monkeypatch.setattr("ons_lab.quadrature.cell_mesh", no_mesh)
         ctx = KernelContext(haar_system(), 64)
         for x in (0.0, 0.3, 1.0):
             boundedness_functional(ctx, x)
@@ -394,6 +398,25 @@ class TestNumericAntiderivativeFallback:
         boundedness_functional(ctx, 0.3)
         assert ctx._prefix_table is not None
         assert ctx._prefix_table.shape == (12, 12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(CATALOG + ("reflect2(haar)",
+                                           "reflect(rademacher)")),
+           n=st.integers(1, 8),
+           ts=st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
+                                 st.floats(0.0, 1.0)), min_size=1,
+                       max_size=12).map(lambda v: sorted(v + v[:1])))
+    def test_numeric_prefix_rows_match_closed_form(self, name, n, ts):
+        # repeated points make empty cells; the numeric rows integrate the
+        # closed-form g_k with cell-sized panels, and every row is at most
+        # 1/2, so 1e-14 is a few dozen ulps
+        closed = get_system(name)
+        stripped = replace(closed, name=f"{name}-stripped", antideriv2=None)
+        ks = np.arange(1, n + 1)
+        want = _prefix_rows(KernelContext(closed, n), ks, ts)
+        got = _prefix_rows(KernelContext(stripped, n), ks, ts)
+        assert got.shape == want.shape == (n, len(ts))
+        assert np.abs(got - want).max() < 1e-14
 
 
 def _sweep_points():
@@ -437,6 +460,30 @@ class TestCosineDftPrefixes:
         assert np.abs(got - sin2.T @ phi_x).max() <= 1e-15
 
 
+#: Public functions of an evaluation point x, as (system, context, table of
+#: the coefficients of u -> u, x) -> value.
+_POINT_CALLS = {
+    "boundedness_functional": lambda s, c, t, x: boundedness_functional(c, x),
+    "boundedness_functional_naive":
+        lambda s, c, t, x: boundedness_functional_naive(c, x),
+    "kernel_prefix_integral":
+        lambda s, c, t, x: kernel_prefix_integral(c, 0.5, x),
+    "antiderivative_kernel": lambda s, c, t, x: antiderivative_kernel(c, 0.3, x),
+    "dirichlet_kernel": lambda s, c, t, x: dirichlet_kernel(c, 0.3, x),
+    "cell_abs_integral": lambda s, c, t, x: cell_abs_integral(c, 2, x),
+    "dirichlet_mean": lambda s, c, t, x: dirichlet_mean(c, x),
+    "square_sum_ratio": lambda s, c, t, x: square_sum_ratio(s, x, 8),
+    "prefix_mean_linkage": lambda s, c, t, x: prefix_mean_linkage(s, x, 8),
+    "partial_sum": lambda s, c, t, x: partial_sum(t, 4, x),
+    "partial_sum[array]":
+        lambda s, c, t, x: partial_sum(t, 4, np.array([0.5, x])),
+    "partial_sum_sweep": lambda s, c, t, x: partial_sum_sweep(t, x),
+    "partial_sum_boundedness": lambda s, c, t, x: partial_sum_boundedness(
+        s, t.function, x, 8, table=t),
+    "system_values": lambda s, c, t, x: system_values(s, 8, x),
+}
+
+
 class TestSparsePrefixRows:
     """Closed-form paths against the per-prefix quadrature oracle."""
 
@@ -464,12 +511,12 @@ class TestSparsePrefixRows:
         assert np.isfinite(boundedness_functional(ctx, 0.3))
 
     @pytest.mark.parametrize("x", [float("nan"), float("inf"), -0.25, 1.5])
-    def test_rejects_x_outside_unit_interval(self, x):
-        ctx = KernelContext(haar_system(), 8)
-        for fn in (boundedness_functional, boundedness_functional_naive,
-                   lambda c, x: kernel_prefix_integral(c, 0.5, x)):
-            with pytest.raises(ValueError, match=r"x must lie in \[0, 1\]"):
-                fn(ctx, x)
+    @pytest.mark.parametrize("call", sorted(_POINT_CALLS))
+    def test_rejects_x_outside_unit_interval(self, call, x):
+        sys_ = haar_system()
+        table = coefficients(sys_, get_function("id"), 8)
+        with pytest.raises(ValueError, match=r"x must lie in \[0, 1\]"):
+            _POINT_CALLS[call](sys_, KernelContext(sys_, 8), table, x)
 
 
 def test_compensated_scalar_matches_fsum():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -214,6 +216,34 @@ def test_cumulative_matches_per_cell_integrate(case):
     want = _per_cell_cumulative(_jumpy, grid, rule)
     assert got.shape == (len(grid),)
     assert np.abs(got - want).max() <= 1e-13
+
+
+#: Integrands of the row-valued check; the last returns a scalar.
+_ROW_INTEGRANDS = (_jumpy, lambda u: np.sin(40.0 * u), lambda u: 2.5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_cumulative_case(), many=st.booleans())
+def test_row_valued_cumulative_is_bitwise_the_scalar_calls(case, many):
+    grid, rule = case
+    if many:            # several sample blocks of nodes
+        rule = dataclasses.replace(rule, order=16, panels=150)
+
+    def rows(u):
+        return np.stack([np.broadcast_to(f(u), u.shape)
+                         for f in _ROW_INTEGRANDS])
+
+    table = cumulative_integral(rows, grid, rule)
+    assert table.shape == (len(_ROW_INTEGRANDS), len(grid))
+    for f, row in zip(_ROW_INTEGRANDS, table):
+        alone = cumulative_integral(f, grid, rule)
+        assert np.array_equal(alone.view(np.int64), row.view(np.int64))
+
+
+def test_row_valued_cumulative_on_empty_cells_only():
+    table = cumulative_integral(lambda u: np.ones((3, len(u))), (0.0, 0.0),
+                                QuadratureRule())
+    assert np.array_equal(table, np.zeros((3, 2)))
 
 
 class TestIntegrateAbs:

@@ -172,9 +172,13 @@ class TestAntiderivativeConsistency:
 
 
 class TestRandomAntiderivatives:
-    # the fixed-index checks above cover k in {1, 2, 3, 7}; these draw k
-    @pytest.mark.parametrize("name,k_max", [("reflect2(haar)", 2048),
-                                            ("reflect(rademacher)", 10)])
+    # the fixed-index checks above cover k in {1, 2, 3, 7}; these draw k.
+    # Panels follow recommended_rule, which resolves a smooth element's
+    # oscillation; step elements are exact between their breakpoints.
+    @pytest.mark.parametrize("name,k_max", [
+        ("cosine", 2048), ("haar", 2048), ("rademacher", 10),
+        ("reflect(cosine)", 1024), ("reflect2(cosine)", 512),
+        ("reflect2(haar)", 2048), ("reflect(rademacher)", 10)])
     @settings(max_examples=15, deadline=None)
     @given(data=st.data(),
            us=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
@@ -182,7 +186,8 @@ class TestRandomAntiderivatives:
         sys_ = get_system(name)
         k = data.draw(st.integers(1, k_max), label="k")
         grid = np.sort(np.array(us))
-        rule = QuadratureRule(breakpoints=sys_.breakpoints(k), abs_tol=1e-13)
+        rule = QuadratureRule(panels=recommended_rule(sys_, k).panels,
+                              breakpoints=sys_.breakpoints(k), abs_tol=1e-13)
         numeric = cumulative_integral(lambda u: np.asarray(
             sys_.eval(k, u), dtype=float), grid, rule)
         closed = np.asarray(sys_.antideriv(k, grid), dtype=float)
