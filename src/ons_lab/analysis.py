@@ -339,7 +339,10 @@ def extremal_lipschitz(ctx: KernelContext, t: float,
     point pushes the pairing ``int f * Q(., t)`` toward its supremum over
     the unit Lipschitz ball.  Returned as a piecewise-linear interpolant
     on a uniform grid; ``sign(0)`` is taken as 0, which keeps the
-    Lipschitz modulus at most 1 exactly.
+    Lipschitz modulus at most 1 exactly.  A prefix within the rounding
+    bound of its dot product, ``4 n eps sum_k |phi_k(t) A2_k(y)|`` (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, sec. 3.1), counts as
+    0, so the slopes do not follow the summation order's rounding noise.
     """
     if grid_size < 64:
         raise InvalidConfig(f"grid_size: extremal construction needs "
@@ -347,8 +350,10 @@ def extremal_lipschitz(ctx: KernelContext, t: float,
     _check_x(t, "t")
     ys = np.linspace(0.0, 1.0, grid_size + 1)
     rows = _prefix_rows(ctx, np.arange(1, ctx.n + 1), ys)
-    prefix = rows.T @ system_values(ctx.system, ctx.n, t)
-    slopes = np.sign(prefix)
+    phi_t = system_values(ctx.system, ctx.n, t)
+    prefix = rows.T @ phi_t
+    noise = 4 * ctx.n * np.finfo(float).eps * (np.abs(rows.T) @ np.abs(phi_t))
+    slopes = np.where(np.abs(prefix) <= noise, 0.0, np.sign(prefix))
     step = 1.0 / grid_size
     values = np.concatenate([[0.0],
                              np.cumsum((slopes[:-1] + slopes[1:]) / 2.0 * step)])

@@ -222,6 +222,13 @@ class TestExtremalLipschitz:
             split = pairing_split(ctx, f_n, 0.3)
             assert abs(split.residual) < 1e-5
 
+    def test_prefix_rounding_noise_gives_zero_slope(self):
+        # for haar n = 4 at t = 0.3 the prefix on [0, 1/4] is exactly
+        # y^2/2 + y^2/2 - sqrt(2) sqrt(2) y^2/2 = 0, which rounds to ~1e-19
+        f_n = extremal_lipschitz(KernelContext(haar_system(), 4), 0.3)
+        ys = np.linspace(0.0, 0.25, 257)
+        assert np.array_equal(f_n.eval(ys), np.zeros(257))
+
     def test_quadrature_prefix_path(self):
         # step system stripped of its closed-form double antiderivative
         ctx = KernelContext(replace(haar_system(), antideriv2=None), 8)
