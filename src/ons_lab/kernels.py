@@ -89,14 +89,14 @@ class KernelContext:
 
     def g_values(self, ks: Sequence[int], us: np.ndarray) -> np.ndarray:
         """Table ``G[r, j] = g_{ks[r]}(us[j])``, closed form or else one
-        :func:`cumulative_integral` pass with the rule for indices <= n."""
+        :func:`_cell_cumulative` pass with the rule for indices <= n."""
         if self.system.antideriv is not None:
             return index_table(self.system.antideriv, ks, us)
         us = np.atleast_1d(np.asarray(us, dtype=float))
         out = np.zeros((len(ks), len(us)))
         if len(us):
             order = np.argsort(us, kind="stable")
-            out[:, order] = cumulative_integral(
+            out[:, order] = _cell_cumulative(
                 partial(index_table, self.system.eval, ks), us[order],
                 self.rule)
         return out
@@ -119,24 +119,28 @@ def _prefix_rows(ctx: KernelContext, ks: np.ndarray, ts) -> np.ndarray:
     """Rows ``R[r, j] = int_0^{ts[j]} g_{ks[r]}`` on a sorted grid in [0, 1].
 
     The one place prefix integrals of ``g_k`` are made: the closed-form
-    second antiderivative when the system has one; otherwise one
-    :func:`cumulative_integral` pass over the ``g_k`` rows, whose panels
-    per breakpoint segment are the widest cell's share of the rule's.
+    second antiderivative when the system has one, otherwise one
+    :func:`_cell_cumulative` pass over the ``g_k`` rows.
     """
     if ctx.system.antideriv2 is not None:
         return index_table(ctx.system.antideriv2, ks, ts)
-    width = np.diff(ts, prepend=0.0).max()
-    rule = dataclasses.replace(ctx.rule,
-                               panels=_cell_panels(ctx.rule, width))
-    return cumulative_integral(partial(ctx.g_values, ks), ts, rule)
+    return _cell_cumulative(partial(ctx.g_values, ks), ts, ctx.rule)
 
 
-def _cell_panels(rule: QuadratureRule, width: float) -> int:
-    """Panels per breakpoint segment in a cell of the given width: the share
-    of the rule's panels for [0, 1] that falls on it, at least two.  A width
-    that exceeds a share only by the rounding of the grid's differences
-    keeps that share."""
-    return max(2, math.ceil(rule.panels * width * (1.0 - 1e-9)))
+def _cell_cumulative(f, ts, rule: QuadratureRule) -> np.ndarray:
+    """:func:`cumulative_integral` of f on a sorted grid with the widest
+    cell's :func:`_cell_rule`."""
+    return cumulative_integral(
+        f, ts, _cell_rule(rule, np.diff(ts, prepend=0.0).max()))
+
+
+def _cell_rule(rule: QuadratureRule, width: float) -> QuadratureRule:
+    """The rule with, per breakpoint segment, the share of its panels for
+    [0, 1] that falls on a cell of the given width, at least two.  A width
+    that exceeds a share only by the rounding of a grid's differences keeps
+    that share."""
+    return dataclasses.replace(
+        rule, panels=max(2, math.ceil(rule.panels * width * (1.0 - 1e-9))))
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +178,7 @@ def _live_sum(table, ks: np.ndarray, weights: np.ndarray, u):
 def kernel_prefix_integral(ctx: KernelContext, t: float, x: float) -> float:
     """Prefix integral ``int_0^t`` of the antiderivative kernel at x.
 
-    An exact sum over the rows of :func:`_prefix_rows` where
+    A ``math.fsum`` over the rows of :func:`_prefix_rows` where
     ``phi_k(x) != 0``.
     """
     _check_x(t, "t")
@@ -250,17 +254,16 @@ def cell_abs_integral(ctx: KernelContext, i: int, x: float) -> IntegrationResult
     The cell ``[(i - 1)/n, i/n]`` is integrated by :func:`integrate_abs`
     with the rule's breakpoints but cell-sized panels: ``max(2,
     ceil(rule.panels / n))`` per breakpoint segment, the share of the
-    panels for [0, 1] that falls on one cell (:func:`_cell_panels`).  The
+    panels for [0, 1] that falls on one cell (:func:`_cell_rule`).  The
     kernel's zeros in the cell are found in one sampled scan and refined
     together, and the kernel takes only the rows where ``phi_k(x) != 0``.
     """
     if not 1 <= i <= ctx.n:
         raise ValueError("cell index must satisfy 1 <= i <= n")
-    rule = dataclasses.replace(ctx.rule,
-                               panels=_cell_panels(ctx.rule, 1.0 / ctx.n))
     rows = _live_rows(ctx, x)
     return integrate_abs(lambda u: _live_sum(ctx.g_values, *rows, u),
-                         rule, (i - 1) / ctx.n, i / ctx.n)
+                         _cell_rule(ctx.rule, 1.0 / ctx.n),
+                         (i - 1) / ctx.n, i / ctx.n)
 
 
 def dirichlet_mean(ctx: KernelContext, x: float) -> float:
