@@ -11,8 +11,8 @@ import numpy as np
 from ons_lab import (
     KernelContext,
     antiderivative_kernel,
+    boundedness_experiment,
     boundedness_functional,
-    boundedness_sweep,
     dirichlet_kernel,
     get_system,
     kernel_prefix_integral,
@@ -30,7 +30,7 @@ print("boundedness functional at x=0.3:", boundedness_functional(ctx, 0.3))
 
 # --- sweep the functional over n and classify -----------------------------
 for name in ("cosine", "haar"):
-    report = boundedness_sweep(get_system(name), 0.3, 128)
+    report = boundedness_experiment(get_system(name), [0.3], 128)[0.3]
     values = np.asarray(report.values)
     print(f"\n{name}: M_n for n=2..128 -> {report.classification}")
     print(f"  largest value {report.bound_estimate:.6f}, "

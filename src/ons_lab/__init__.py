@@ -14,14 +14,11 @@ from .analysis import (
     PairingSplit,
     TransferCase,
     boundedness_experiment,
-    boundedness_sweep,
     boundedness_transfer,
     boundedness_values,
-    cosine_boundedness_experiment,
     extremal_lipschitz,
     extremal_pairing_sweep,
     growth_report,
-    haar_boundedness_experiment,
     inverse_square_root_sum,
     pairing_split,
     partial_sum_boundedness,
@@ -61,8 +58,6 @@ from .kernels import (
     kernel_prefix_integral,
 )
 from .quadrature import (
-    PIECEWISE_ABS_TOL,
-    SMOOTH_ABS_TOL,
     IntegrationResult,
     QuadratureRule,
     cell_mesh,

@@ -28,9 +28,7 @@ from .systems import (
     FunctionSpec,
     SystemHandle,
     _check_x,
-    cosine_system,
     get_function,
-    haar_system,
     system_values,
 )
 
@@ -169,15 +167,6 @@ def boundedness_values(system: SystemHandle, x_grid: Sequence[float],
     return out
 
 
-def boundedness_sweep(system: SystemHandle, x: float, n_max: int,
-                      thresholds: Optional[ClassificationThresholds] = None
-                      ) -> GrowthReport:
-    """Boundedness functional at one point for n = 2..n_max."""
-    vals = boundedness_values(system, [x], n_max)[0]
-    return growth_report(f"boundedness[{system.name}, x={x:g}]",
-                         np.arange(2, n_max + 1), vals, thresholds)
-
-
 def boundedness_experiment(system: SystemHandle,
                            x_grid: Sequence[float] = DEFAULT_X_GRID,
                            n_max: int = 512,
@@ -191,20 +180,6 @@ def boundedness_experiment(system: SystemHandle,
                                 ns, matrix[j], thresholds)
         for j, x in enumerate(x_grid)
     }
-
-
-def cosine_boundedness_experiment(x_grid: Sequence[float] = DEFAULT_X_GRID,
-                                  n_max: int = 512,
-                                  thresholds=None) -> dict[float, GrowthReport]:
-    """Sweep for the cosine system; expected bounded at every point."""
-    return boundedness_experiment(cosine_system(), x_grid, n_max, thresholds)
-
-
-def haar_boundedness_experiment(x_grid: Sequence[float] = DEFAULT_X_GRID,
-                                n_max: int = 512,
-                                thresholds=None) -> dict[float, GrowthReport]:
-    """Sweep for the dyadic step system; expected bounded at every point."""
-    return boundedness_experiment(haar_system(), x_grid, n_max, thresholds)
 
 
 def inverse_square_root_sum(ns) -> np.ndarray:
@@ -366,7 +341,6 @@ def extremal_lipschitz(ctx: KernelContext, t: float,
         eval=interpolant,
         deriv=None,
         class_tag="Lip1",
-        value_at_1=float(values[-1]),
         breakpoints=tuple(ys[1:-1]),
     )
 

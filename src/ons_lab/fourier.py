@@ -47,15 +47,14 @@ class CoefficientTable:
         return len(self.coeffs)
 
 
-def coefficients(system: SystemHandle, f: FunctionSpec, n_max: int,
-                 rule: Optional[QuadratureRule] = None) -> CoefficientTable:
+def coefficients(system: SystemHandle, f: FunctionSpec,
+                 n_max: int) -> CoefficientTable:
     """Coefficients ``C_k = int_0^1 f phi_k`` for k = 1..n_max."""
     if n_max < 1:
         raise InvalidConfig(
             f"n_max: coefficient tables need n_max >= 1, got {n_max}")
-    if rule is None:
-        rule = recommended_rule(system, n_max, extra_breakpoints=f.breakpoints)
-    elif f.breakpoints:
+    rule = recommended_rule(system, n_max)
+    if f.breakpoints:
         rule = rule.with_breakpoints(f.breakpoints)
     nodes, weights, _ = cell_mesh((0.0, 1.0), rule, 2 * rule.panels)
     f_vals = np.broadcast_to(np.asarray(f.eval(nodes), dtype=float), nodes.shape)
@@ -97,7 +96,6 @@ class ByPartsSplit:
 
 
 def partial_sum_by_parts(system: SystemHandle, f: FunctionSpec, n: int, x: float,
-                         rule: Optional[QuadratureRule] = None,
                          table: Optional[CoefficientTable] = None) -> ByPartsSplit:
     """Split ``S_n(x)`` into boundary and derivative kernel integrals.
 
@@ -107,9 +105,9 @@ def partial_sum_by_parts(system: SystemHandle, f: FunctionSpec, n: int, x: float
     if f.deriv is None:
         raise MissingDerivative(f"function {f.name!r} has no derivative evaluator")
     if table is None:
-        table = coefficients(system, f, n, rule)
+        table = coefficients(system, f, n)
     lhs = partial_sum(table, n, x)
-    ctx = KernelContext(system, n, rule)
+    ctx = KernelContext(system, n)
     quad_rule = ctx.rule.with_breakpoints(f.breakpoints) if f.breakpoints else ctx.rule
     boundary = f.value_at_1 * dirichlet_mean(ctx, x)
     deriv = f.deriv
@@ -139,8 +137,7 @@ class SummationIdentity:
 
 
 def summation_identity(f: FunctionSpec, F: Union[Callable, FunctionSpec], n: int,
-                       second_sum_upper: str = "n",
-                       rule: Optional[QuadratureRule] = None) -> SummationIdentity:
+                       second_sum_upper: str = "n") -> SummationIdentity:
     """Evaluate ``int_0^1 f'(x) F(x) dx`` against its mesh decomposition.
 
     The right side is
@@ -160,9 +157,8 @@ def summation_identity(f: FunctionSpec, F: Union[Callable, FunctionSpec], n: int
 
     F_eval = F.eval if isinstance(F, FunctionSpec) else F
     F_breaks = F.breakpoints if isinstance(F, FunctionSpec) else ()
-    if rule is None:
-        rule = QuadratureRule(order=16, panels=8)
-    rule = rule.with_breakpoints((*f.breakpoints, *F_breaks))
+    rule = QuadratureRule(order=16, panels=8).with_breakpoints(
+        (*f.breakpoints, *F_breaks))
 
     deriv = f.deriv
 

@@ -1,13 +1,17 @@
 """Breakpoint-aware Gauss-Legendre quadrature on subintervals of [0, 1].
 
-Every inner product, Fourier coefficient and kernel integral in the
-library goes through :func:`integrate`, so the machinery is deliberately
-plain: fixed-order Gauss-Legendre panels laid uniformly between declared
-breakpoints, with the error estimated by re-running at twice the panel
-count.  Piecewise-constant integrands whose jumps are declared as
-breakpoints are integrated exactly up to rounding; smooth oscillatory
-integrands converge spectrally once the panel width resolves the
-oscillation.
+The machinery is deliberately plain: fixed-order Gauss-Legendre panels
+laid uniformly between declared breakpoints.  :func:`integrate` returns a
+value with an error estimate from re-running at twice the panel count;
+:func:`cumulative_integral` gives prefix integrals on a grid from the
+fine pass alone, with no estimate; :func:`integrate_abs` first splits
+``|f|`` at the zeros of ``f``.  Not every integral goes through these:
+Fourier coefficients and Gram matrices are dense products over
+:func:`cell_mesh` nodes, and the boundedness sweeps read closed-form
+antiderivatives wherever a system has them.  Piecewise-constant
+integrands whose jumps are declared as breakpoints are integrated exactly
+up to rounding; smooth oscillatory integrands converge spectrally once the
+panel width resolves the oscillation.
 
 Every node set comes from :func:`cell_mesh`, which lays those panels
 over the cells of a grid.
@@ -29,17 +33,15 @@ import numpy as np
 
 from .errors import InvalidInterval, NonFiniteIntegrand
 
-#: Default absolute-error target for integrands built from smooth systems.
-SMOOTH_ABS_TOL = 1e-10
-
-#: Default absolute-error target when all jumps are declared as breakpoints.
-PIECEWISE_ABS_TOL = 1e-13
-
 # Nodes per integrand call in cumulative_integral and in the scan of
 # integrate_abs.  Kernel integrands build an (n, nodes) table, which for a
 # whole sign-system mesh (2^16 breakpoints) takes gigabytes; blocks that fit
 # in cache also measured fastest.
 _SAMPLE_BLOCK = 4096
+
+# integrate_abs scans for sign changes on this many uniform intervals of
+# every breakpoint segment.
+_SCAN_POINTS = 256
 
 # integrate_abs narrows a zero bracket until it is no wider than
 # _ZERO_XTOL + _ZERO_RTOL * |position|: 1e-15 plus four ulps.
@@ -61,23 +63,17 @@ class QuadratureRule:
     breakpoints : tuple of float
         Strictly increasing points in [0, 1] that every panel boundary
         must respect; declare jump or kink locations here.
-    abs_tol : float
-        Target absolute error, used as the reference for the estimate
-        reported by :func:`integrate`.
     """
 
     order: int = 16
     panels: int = 1
     breakpoints: tuple[float, ...] = ()
-    abs_tol: float = SMOOTH_ABS_TOL
 
     def __post_init__(self):
         if self.order < 2:
             raise ValueError("order must be >= 2")
         if self.panels < 1:
             raise ValueError("panels must be >= 1")
-        if self.abs_tol <= 0:
-            raise ValueError("abs_tol must be positive")
         pts = tuple(float(p) for p in self.breakpoints)
         if any(b <= a for a, b in zip(pts, pts[1:])):
             raise ValueError("breakpoints must be strictly increasing")
@@ -237,12 +233,11 @@ def cumulative_integral(f: Callable, grid: Sequence[float],
 
 
 def integrate_abs(f: Callable, rule: QuadratureRule,
-                  a: float = 0.0, b: float = 1.0,
-                  scan_points: int = 256) -> IntegrationResult:
+                  a: float = 0.0, b: float = 1.0) -> IntegrationResult:
     """Integrate ``|f|`` over ``[a, b]`` inside [0, 1], split at f's zeros.
 
     One pass samples ``f``, in blocks of nodes, on a uniform scan of
-    ``scan_points`` intervals in every breakpoint segment of ``[a, b]``.
+    ``_SCAN_POINTS`` intervals in every breakpoint segment of ``[a, b]``.
     Each sign change brackets a zero.  The bracket endpoints are evaluated
     again, together, and the brackets that still straddle zero are all
     bisected at once, one call of ``f`` per step, to about 1e-15; a bracket
@@ -260,7 +255,7 @@ def integrate_abs(f: Callable, rule: QuadratureRule,
         return IntegrationResult(0.0, 0.0, 1)
     inner = _inner_breakpoints(rule, a, b)
     edges = np.concatenate(([a], inner, [b]))
-    ts = np.linspace(edges[:-1], edges[1:], scan_points + 1, axis=1)
+    ts = np.linspace(edges[:-1], edges[1:], _SCAN_POINTS + 1, axis=1)
     signs = np.sign(_sample_blocks(f, ts.ravel()).reshape(ts.shape))
     change = signs[:, :-1] * signs[:, 1:] < 0
     split = np.concatenate((inner, ts[:, 1:-1][signs[:, 1:-1] == 0],

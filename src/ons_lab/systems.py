@@ -17,18 +17,12 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import InvalidConfig, OnsLabError, UnknownFunction, UnknownSystem
-from .quadrature import (
-    PIECEWISE_ABS_TOL,
-    SMOOTH_ABS_TOL,
-    QuadratureRule,
-    cell_mesh,
-    integrate,
-)
+from .quadrature import QuadratureRule, cell_mesh, integrate
 
 SQRT2 = np.sqrt(2.0)
 
@@ -64,19 +58,18 @@ class SystemHandle:
         Closed-form ``int_0^u`` of the k-th element, when known.
     breakpoints : callable
         ``k -> tuple`` of interior discontinuity points of element k.
-    smooth : bool
-        True when no element has a jump anywhere.
     piecewise_constant : bool
-        True when every element is a step function between its breakpoints.
+        True when every element is a step function between its breakpoints;
+        :func:`recommended_rule` then lays 2 panels per breakpoint segment
+        instead of ``max(4, k_max)``.
     antideriv2 : callable or None
         Closed-form second antiderivative ``int_0^u int_0^t``, when known.
     period : callable or None
-        ``k -> Fraction`` period of element k, when the element is periodic.
+        ``k -> Fraction`` period of element k of a step system, which lets
+        exact inner products sum over one common period.
     breakpoints_in : callable or None
         ``(k, lo, hi) -> tuple`` of breakpoints inside a window; only needed
         when the full list is too large to enumerate.
-    panels_hint : callable or None
-        ``k -> int`` panels per breakpoint segment that resolve element k.
     antideriv2_cos : callable or None
         ``k -> c_k``, set when ``antideriv2(k, u) = c_k * (1 - cos(2 pi k u))``;
         prefix integrals on the mesh ``i/n`` are then one length-n DFT.
@@ -86,12 +79,10 @@ class SystemHandle:
     eval: Callable
     antideriv: Optional[Callable]
     breakpoints: Callable[[int], tuple]
-    smooth: bool
     piecewise_constant: bool = False
     antideriv2: Optional[Callable] = None
     period: Optional[Callable[[int], Fraction]] = None
     breakpoints_in: Optional[Callable] = None
-    panels_hint: Optional[Callable[[int], int]] = None
     antideriv2_cos: Optional[Callable] = None
 
 
@@ -109,8 +100,12 @@ class FunctionSpec:
     eval: Callable
     deriv: Optional[Callable]
     class_tag: str
-    value_at_1: float
     breakpoints: tuple[float, ...] = ()
+
+    @property
+    def value_at_1(self) -> float:
+        """``f(1)``, the boundary value in the integration-by-parts split."""
+        return float(np.asarray(self.eval(1.0), dtype=float))
 
 
 def _evaluator(fn: Callable) -> Callable:
@@ -154,11 +149,7 @@ def cosine_system() -> SystemHandle:
         eval=_cosine_eval,
         antideriv=_cosine_antideriv,
         breakpoints=lambda k: (),
-        smooth=True,
-        piecewise_constant=False,
         antideriv2=_cosine_antideriv2,
-        period=lambda k: Fraction(1, int(k)),
-        panels_hint=lambda k: max(4, int(k)),
         antideriv2_cos=_cosine_antideriv2_coeff,
     )
 
@@ -226,10 +217,8 @@ def haar_system() -> SystemHandle:
         eval=_haar_eval,
         antideriv=_haar_antideriv,
         breakpoints=_haar_breakpoints,
-        smooth=False,
         piecewise_constant=True,
         antideriv2=_haar_antideriv2,
-        panels_hint=lambda k: 2,
     )
 
 
@@ -307,12 +296,10 @@ def rademacher_system() -> SystemHandle:
         eval=_rademacher_eval,
         antideriv=_rademacher_antideriv,
         breakpoints=_rademacher_breakpoints,
-        smooth=False,
         piecewise_constant=True,
         antideriv2=_rademacher_antideriv2,
         period=lambda k: Fraction(1, 1 << (int(k) - 1)),
         breakpoints_in=_rademacher_breakpoints_in,
-        panels_hint=lambda k: 2,
     )
 
 
@@ -367,10 +354,8 @@ def compress_reflect(base: SystemHandle) -> SystemHandle:
         eval=reflected_eval,
         antideriv=None if anti is None else reflected_anti,
         breakpoints=bps,
-        smooth=False,
         piecewise_constant=base.piecewise_constant,
         antideriv2=None if anti is None or anti2 is None else reflected_anti2,
-        panels_hint=base.panels_hint,
     )
 
 
@@ -425,7 +410,6 @@ def _make_one() -> FunctionSpec:
         eval=lambda u: np.ones_like(np.asarray(u, dtype=float)),
         deriv=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
         class_tag="CL",
-        value_at_1=1.0,
     )
 
 
@@ -435,7 +419,6 @@ def _make_id() -> FunctionSpec:
         eval=lambda u: np.asarray(u, dtype=float),
         deriv=lambda u: np.ones_like(np.asarray(u, dtype=float)),
         class_tag="CL",
-        value_at_1=1.0,
     )
 
 
@@ -445,37 +428,23 @@ def _make_cos_bump() -> FunctionSpec:
         eval=_bump,
         deriv=_bump_deriv,
         class_tag="CL",
-        value_at_1=0.0,
     )
 
 
-def _make_g_compressed() -> FunctionSpec:
-    # bump squeezed into [0, 1/2); C^1 across the joint since bump'(1) = 0
-    return FunctionSpec(
-        name="g-compressed",
-        eval=lambda u: np.where(np.asarray(u, dtype=float) < 0.5,
-                                _bump(2.0 * np.asarray(u, dtype=float)), 0.0),
-        deriv=lambda u: np.where(np.asarray(u, dtype=float) < 0.5,
-                                 2.0 * _bump_deriv(2.0 * np.asarray(u, dtype=float)),
-                                 0.0),
-        class_tag="CL",
-        value_at_1=0.0,
-        breakpoints=(0.5,),
-    )
+def _compressed_bump(name: str, scale: float,
+                     breakpoints: tuple[float, ...]) -> FunctionSpec:
+    # bump squeezed into [0, 1/scale), zero after; C^1 across the joint
+    # since bump'(1) = 0
+    def squeezed(u):
+        u = np.asarray(u, dtype=float)
+        return np.where(u < 1.0 / scale, _bump(scale * u), 0.0)
 
+    def squeezed_deriv(u):
+        u = np.asarray(u, dtype=float)
+        return np.where(u < 1.0 / scale, scale * _bump_deriv(scale * u), 0.0)
 
-def _make_h_compressed() -> FunctionSpec:
-    return FunctionSpec(
-        name="h-compressed",
-        eval=lambda u: np.where(np.asarray(u, dtype=float) < 0.25,
-                                _bump(4.0 * np.asarray(u, dtype=float)), 0.0),
-        deriv=lambda u: np.where(np.asarray(u, dtype=float) < 0.25,
-                                 4.0 * _bump_deriv(4.0 * np.asarray(u, dtype=float)),
-                                 0.0),
-        class_tag="CL",
-        value_at_1=0.0,
-        breakpoints=(0.25, 0.5),
-    )
+    return FunctionSpec(name=name, eval=squeezed, deriv=squeezed_deriv,
+                        class_tag="CL", breakpoints=breakpoints)
 
 
 def _make_half_square() -> FunctionSpec:
@@ -484,7 +453,6 @@ def _make_half_square() -> FunctionSpec:
         eval=lambda u: np.asarray(u, dtype=float) ** 2 / 2.0,
         deriv=lambda u: np.asarray(u, dtype=float),
         class_tag="CL",
-        value_at_1=0.5,
     )
 
 
@@ -492,8 +460,9 @@ _FUNCTION_BUILDERS = {
     "one": _make_one,
     "id": _make_id,
     "cos-bump": _make_cos_bump,
-    "g-compressed": _make_g_compressed,
-    "h-compressed": _make_h_compressed,
+    "g-compressed": lambda: _compressed_bump("g-compressed", 2.0, (0.5,)),
+    "h-compressed": lambda: _compressed_bump("h-compressed", 4.0,
+                                             (0.25, 0.5)),
     "half-square": _make_half_square,
 }
 
@@ -520,10 +489,6 @@ def function_catalog() -> list[FunctionSpec]:
 # rules, tables and inner products
 # ---------------------------------------------------------------------------
 
-def default_abs_tol(system: SystemHandle) -> float:
-    return PIECEWISE_ABS_TOL if system.piecewise_constant else SMOOTH_ABS_TOL
-
-
 def breakpoints_upto(system: SystemHandle, k_max: int) -> tuple:
     """Sorted union of element breakpoints for indices 1..k_max."""
     pts: set[float] = set()
@@ -532,21 +497,17 @@ def breakpoints_upto(system: SystemHandle, k_max: int) -> tuple:
     return tuple(sorted(pts))
 
 
-def recommended_rule(system: SystemHandle, k_max: int,
-                     abs_tol: Optional[float] = None,
-                     extra_breakpoints: Sequence[float] = ()) -> QuadratureRule:
-    """A quadrature rule adequate for integrands built from indices <= k_max."""
-    if system.panels_hint is not None:
-        panels = int(system.panels_hint(k_max))
-    else:
-        panels = max(4, k_max) if system.smooth else 2
-    rule = QuadratureRule(
-        order=16,
-        panels=panels,
-        breakpoints=breakpoints_upto(system, k_max),
-        abs_tol=default_abs_tol(system) if abs_tol is None else abs_tol,
-    )
-    return rule.with_breakpoints(extra_breakpoints) if extra_breakpoints else rule
+def recommended_rule(system: SystemHandle, k_max: int) -> QuadratureRule:
+    """A quadrature rule adequate for integrands built from indices <= k_max.
+
+    Order 16 with every breakpoint of elements 1..k_max.  A step system is
+    constant between breakpoints, so 2 panels per segment suffice; any
+    other element k oscillates at most k times, so ``max(4, k_max)``
+    panels resolve it.
+    """
+    panels = 2 if system.piecewise_constant else max(4, k_max)
+    return QuadratureRule(order=16, panels=panels,
+                          breakpoints=breakpoints_upto(system, k_max))
 
 
 def index_table(fn: Callable, ks, us) -> np.ndarray:
@@ -558,9 +519,9 @@ def index_table(fn: Callable, ks, us) -> np.ndarray:
     return vals if vals.shape == shape else np.broadcast_to(vals, shape)
 
 
-def eval_matrix(system: SystemHandle, n: int, us, fn: str = "eval") -> np.ndarray:
-    """Table ``M[k-1, j] = phi_k(us[j])`` (or of an antiderivative field)."""
-    return index_table(getattr(system, fn), np.arange(1, n + 1), us)
+def eval_matrix(system: SystemHandle, n: int, us) -> np.ndarray:
+    """Table ``M[k-1, j] = phi_k(us[j])``."""
+    return index_table(system.eval, np.arange(1, n + 1), us)
 
 
 def system_values(system: SystemHandle, n: int, x: float) -> np.ndarray:
@@ -617,19 +578,16 @@ def _step_inner_product(system: SystemHandle, j: int, k: int) -> float:
     return float(count * Fraction(one_window))
 
 
-def inner_product(system: SystemHandle, j: int, k: int,
-                  rule: Optional[QuadratureRule] = None) -> float:
+def inner_product(system: SystemHandle, j: int, k: int) -> float:
     """L2 inner product of elements j and k of a system."""
     if system.piecewise_constant and system.antideriv is not None:
         return _step_inner_product(system, j, k)
-    if rule is None:
-        rule = recommended_rule(system, max(j, k))
+    rule = recommended_rule(system, max(j, k))
     return integrate(lambda u: np.asarray(system.eval(j, u), dtype=float)
                      * np.asarray(system.eval(k, u), dtype=float), rule).value
 
 
-def gram_matrix(system: SystemHandle, n: int,
-                rule: Optional[QuadratureRule] = None) -> np.ndarray:
+def gram_matrix(system: SystemHandle, n: int) -> np.ndarray:
     """Matrix of pairwise inner products of the first n elements."""
     if n < 1:
         raise InvalidConfig(f"n: Gram matrix needs n >= 1, got {n}")
@@ -640,8 +598,7 @@ def gram_matrix(system: SystemHandle, n: int,
                 out[j - 1, k - 1] = out[k - 1, j - 1] = _step_inner_product(
                     system, j, k)
         return out
-    if rule is None:
-        rule = recommended_rule(system, n)
+    rule = recommended_rule(system, n)
     nodes, weights, _ = cell_mesh((0.0, 1.0), rule, 2 * rule.panels)
     table = eval_matrix(system, n, nodes)
     return (table * weights) @ table.T

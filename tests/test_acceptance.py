@@ -104,7 +104,7 @@ def test_criterion_05_summation_identity():
 
 def test_criterion_06_cosine_boundedness():
     started = time.perf_counter()
-    reports = ol.cosine_boundedness_experiment(X_QUAD, 512)
+    reports = ol.boundedness_experiment(ol.cosine_system(), X_QUAD, 512)
     elapsed = time.perf_counter() - started
     classes = {x: rep.classification for x, rep in reports.items()}
     all_bounded = all(c == "bounded" for c in classes.values())
@@ -127,7 +127,7 @@ def test_criterion_06_cosine_boundedness():
 
 
 def test_criterion_07_haar_boundedness():
-    reports = ol.haar_boundedness_experiment(X_QUAD, 512)
+    reports = ol.boundedness_experiment(ol.haar_system(), X_QUAD, 512)
     classes = {x: rep.classification for x, rep in reports.items()}
     ok = all(c == "bounded" for c in classes.values())
     _report(7, "haar-boundedness", ok, f"classes={sorted(set(classes.values()))}")

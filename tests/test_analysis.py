@@ -11,17 +11,14 @@ from ons_lab import (
     KernelContext,
     SystemHandle,
     boundedness_experiment,
-    boundedness_sweep,
     boundedness_transfer,
     boundedness_values,
-    cosine_boundedness_experiment,
     cosine_system,
     extremal_lipschitz,
     extremal_pairing_sweep,
     get_function,
     get_system,
     growth_report,
-    haar_boundedness_experiment,
     haar_system,
     inverse_square_root_sum,
     kernel_section,
@@ -131,7 +128,7 @@ class TestPartialSumBoundedness:
 
 class TestBoundednessSweeps:
     def test_smoke_shape(self):
-        rep = boundedness_sweep(haar_system(), 0.3, 8)
+        rep = boundedness_experiment(haar_system(), [0.3], 8)[0.3]
         assert len(rep.indices) == 7
         assert rep.indices[0] == 2 and rep.indices[-1] == 8
 
@@ -141,10 +138,9 @@ class TestBoundednessSweeps:
         assert all(len(r.indices) == 7 for r in reports.values())
 
     def test_default_grids(self):
-        reports = cosine_boundedness_experiment(n_max=8)
-        assert len(reports) == 4
-        reports = haar_boundedness_experiment(n_max=8)
-        assert len(reports) == 4
+        for sys_ in (cosine_system(), haar_system()):
+            reports = boundedness_experiment(sys_, n_max=8)
+            assert len(reports) == 4
 
     def test_values_shared_context_match_standalone(self):
         matrix = boundedness_values(haar_system(), (0.2, 0.7), 12)
@@ -187,7 +183,7 @@ class TestTransfer:
     def test_rejects_non_cl_function(self):
         from ons_lab import FunctionSpec
         lip_only = FunctionSpec(name="corner", eval=lambda u: np.abs(
-            np.asarray(u) - 0.5), deriv=None, class_tag="Lip1", value_at_1=0.5)
+            np.asarray(u) - 0.5), deriv=None, class_tag="Lip1")
         with pytest.raises(ValueError):
             boundedness_transfer(cosine_system(), lip_only, (0.3,), 16)
 
@@ -274,8 +270,6 @@ class TestPrefixMeanLinkage:
                        - np.asarray(u, dtype=float) ** 2),
                 np.broadcast(np.asarray(k), np.asarray(u)).shape),
             breakpoints=lambda k: (),
-            smooth=True,
-            panels_hint=lambda k: 4,
         )
         report = prefix_mean_linkage(repeated, 0.0, 64)
         assert report.dirichlet_report.classification == "bounded"

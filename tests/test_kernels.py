@@ -34,7 +34,7 @@ from ons_lab import (
     system_values,
 )
 from ons_lab.kernels import _prefix_rows, _prefix_values
-from ons_lab.systems import breakpoints_upto, eval_matrix
+from ons_lab.systems import breakpoints_upto, eval_matrix, index_table
 
 SQ2 = np.sqrt(2.0)
 
@@ -102,9 +102,9 @@ class TestLiveRows:
         ctx = KernelContext(sys_, n)
         phi_x = system_values(sys_, n, x)
         us = np.array(us)
-        for kernel, fn in ((dirichlet_kernel, "eval"),
-                           (antiderivative_kernel, "antideriv")):
-            table = eval_matrix(sys_, n, us, fn=fn)
+        for kernel, fn in ((dirichlet_kernel, sys_.eval),
+                           (antiderivative_kernel, sys_.antideriv)):
+            table = index_table(fn, np.arange(1, n + 1), us)
             want = phi_x @ table
             tol = 1e-15 * np.maximum(1.0, np.abs(phi_x) @ np.abs(table))
             assert np.all(np.abs(kernel(ctx, us, x) - want) <= tol)
@@ -215,7 +215,8 @@ class TestCellBound:
                 lo, hi = (i - 1) / n, i / n
                 edges = np.concatenate(([lo], bps[(bps > lo) & (bps < hi)],
                                         [hi]))
-                ks = phi_x @ eval_matrix(sys_, n, edges, fn="antideriv")
+                ks = phi_x @ index_table(sys_.antideriv, np.arange(1, n + 1),
+                                         edges)
                 want = sum(_abs_linear_integral(a, b, ka, kb) for a, b, ka, kb
                            in zip(edges[:-1], edges[1:], ks[:-1], ks[1:]))
                 got = cell_abs_integral(ctx, i, x).value
@@ -233,7 +234,8 @@ class TestCellBound:
             phi_x = system_values(sys_, n, x)
 
             def kernel(u):
-                return phi_x @ eval_matrix(sys_, n, u, fn="antideriv")
+                return phi_x @ index_table(sys_.antideriv,
+                                           np.arange(1, n + 1), u)
 
             for i in range(1, n + 1):
                 lo, hi = (i - 1) / n, i / n
@@ -295,8 +297,6 @@ def _stripped_cosine() -> SystemHandle:
         eval=base.eval,
         antideriv=None,
         breakpoints=base.breakpoints,
-        smooth=True,
-        panels_hint=base.panels_hint,
     )
 
 
@@ -308,7 +308,7 @@ class TestTableShapes:
             lambda u: np.zeros(width))
         return SystemHandle(name="line", eval=lambda k, u: row(u),
                             antideriv=lambda k, u: row(u) / 2.0,
-                            breakpoints=lambda k: (), smooth=True)
+                            breakpoints=lambda k: ())
 
     def test_k_independent_row_is_repeated(self):
         us = np.array([0.0, 0.25, 1.0])
@@ -342,7 +342,7 @@ class TestNumericAntiderivativeFallback:
         sine = SystemHandle(
             name="sine-stripped",
             eval=lambda k, u: np.sqrt(2.0) * np.sin(2 * np.pi * k * u),
-            antideriv=None, breakpoints=lambda k: (), smooth=True)
+            antideriv=None, breakpoints=lambda k: ())
         ctx, us = KernelContext(sine, 4), np.linspace(0.0, 1.0, 9)
         assert ctx.g_values([], us).shape == (0, 9)
         assert np.array_equal(antiderivative_kernel(ctx, us, 0.0),

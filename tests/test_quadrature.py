@@ -64,7 +64,6 @@ class TestRuleValidation:
     @pytest.mark.parametrize("kwargs", [
         {"order": 1},
         {"panels": 0},
-        {"abs_tol": 0.0},
         {"breakpoints": (0.5, 0.5)},
         {"breakpoints": (0.2, 1.2)},
     ])
@@ -98,7 +97,7 @@ def test_additivity_over_split(split, freq):
     whole = integrate(f, rule, 0.0, 1.0)
     left = integrate(f, rule, 0.0, split)
     right = integrate(f, rule, split, 1.0)
-    assert abs(whole.value - (left.value + right.value)) < 2 * rule.abs_tol
+    assert abs(whole.value - (left.value + right.value)) < 2e-10
 
 
 class TestCumulative:
@@ -127,7 +126,7 @@ class TestCumulative:
         vals = cumulative_integral(f, grid, rule)
         for t, v in zip(grid, vals):
             direct = integrate(f, rule, 0.0, t).value
-            assert abs(v - direct) < 2 * rule.abs_tol
+            assert abs(v - direct) < 2e-10
 
     def test_unsorted_grid_raises(self):
         with pytest.raises(InvalidInterval):

@@ -27,7 +27,7 @@ from ons_lab import (
     recommended_rule,
     system_values,
 )
-from ons_lab.systems import SIGN_SYSTEM_K_MAX
+from ons_lab.systems import SIGN_SYSTEM_K_MAX, breakpoints_upto
 
 SQ2 = np.sqrt(2.0)
 
@@ -46,10 +46,12 @@ class TestCosine:
                         recommended_rule(sys_, 3))
         assert abs(res.value) < 1e-10
 
-    def test_smooth_flags(self):
+    def test_not_piecewise_constant(self):
+        # cosine elements have no jumps; the rule resolves their oscillation
         sys_ = cosine_system()
-        assert sys_.smooth and not sys_.piecewise_constant
+        assert not sys_.piecewise_constant and sys_.period is None
         assert sys_.breakpoints(5) == ()
+        assert recommended_rule(sys_, 5).panels == 5
 
 
 class TestHaar:
@@ -77,8 +79,7 @@ class TestHaar:
         sys_ = haar_system()
         grid = np.arange(257) / 256
         for m in (1, 2, 3, 5, 9, 17, 33):
-            rule = QuadratureRule(breakpoints=sys_.breakpoints(m),
-                                  abs_tol=1e-13)
+            rule = QuadratureRule(breakpoints=sys_.breakpoints(m))
             numeric = cumulative_integral(lambda u, m=m: np.asarray(
                 sys_.eval(m, u), dtype=float), grid, rule)
             closed = np.asarray(sys_.antideriv(m, grid), dtype=float)
@@ -187,16 +188,53 @@ class TestRandomAntiderivatives:
         k = data.draw(st.integers(1, k_max), label="k")
         grid = np.sort(np.array(us))
         rule = QuadratureRule(panels=recommended_rule(sys_, k).panels,
-                              breakpoints=sys_.breakpoints(k), abs_tol=1e-13)
+                              breakpoints=sys_.breakpoints(k))
         numeric = cumulative_integral(lambda u: np.asarray(
             sys_.eval(k, u), dtype=float), grid, rule)
         closed = np.asarray(sys_.antideriv(k, grid), dtype=float)
         assert np.abs(numeric - closed).max() < 1e-12, (k, grid)
 
+    # the reflections' closed-form antideriv2 against one cumulative pass
+    # over their antideriv; a probe over 40 random k per system saw at most
+    # 3e-17, so 1e-15 absolute leaves a margin of 30
+    @pytest.mark.parametrize("name,k_max", [
+        ("reflect(cosine)", 1024), ("reflect2(cosine)", 512),
+        ("reflect(haar)", 2048), ("reflect2(haar)", 2048),
+        ("reflect(rademacher)", 10), ("reflect2(rademacher)", 10)])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data(),
+           us=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+    def test_reflected_antideriv2_matches_cumulative(self, name, k_max, data,
+                                                     us):
+        sys_ = get_system(name)
+        k = data.draw(st.integers(1, k_max), label="k")
+        grid = np.sort(np.array(us))
+        rule = QuadratureRule(panels=recommended_rule(sys_, k).panels,
+                              breakpoints=sys_.breakpoints(k))
+        numeric = cumulative_integral(lambda u: np.asarray(
+            sys_.antideriv(k, u), dtype=float), grid, rule)
+        closed = np.asarray(sys_.antideriv2(k, grid), dtype=float)
+        assert np.abs(numeric - closed).max() < 1e-15, (k, grid)
+
 
 #: Every catalog system plus the reflections of the step systems.
 CONTRACT_SYSTEMS = CATALOG + ("reflect2(haar)", "reflect(rademacher)",
                               "reflect2(rademacher)")
+
+
+class TestRecommendedRule:
+    # order 16 and every breakpoint up to k; step systems get 2 panels per
+    # segment, the rest max(4, k) to resolve k oscillations
+    @pytest.mark.parametrize("name", CONTRACT_SYSTEMS)
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 9, 12])
+    def test_order_panels_and_breakpoints(self, name, k):
+        sys_ = get_system(name)
+        rule = recommended_rule(sys_, k)
+        step = "haar" in name or "rademacher" in name
+        assert sys_.piecewise_constant == step
+        assert rule.order == 16
+        assert rule.panels == (2 if step else max(4, k))
+        assert rule.breakpoints == breakpoints_upto(sys_, k)
 
 
 class TestBroadcastingContract:
@@ -397,9 +435,12 @@ class TestFunctionCatalog:
         assert get_function("h-compressed").eval(0.3) == 0.0
 
     def test_value_at_1_matches_eval(self):
+        # f(1) comes from eval; these are the values the catalog once stored
+        stored = {"one": 1.0, "id": 1.0, "cos-bump": 0.0,
+                  "g-compressed": 0.0, "h-compressed": 0.0, "half-square": 0.5}
         for spec in function_catalog():
-            assert spec.value_at_1 == pytest.approx(
-                float(np.asarray(spec.eval(1.0))), abs=1e-14)
+            assert type(spec.value_at_1) is float
+            assert spec.value_at_1 == stored[spec.name]
 
     # largest slope of each derivative: underlying second-derivative scale
     _LIP = {"one": 0.0, "id": 0.0, "cos-bump": 16 * np.pi ** 2,
