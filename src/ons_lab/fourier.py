@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import IndexOutOfRange, InvalidConfig, MissingDerivative
 from .kernels import KernelContext, antiderivative_kernel, dirichlet_mean
-from .quadrature import QuadratureRule, cell_mesh, cumulative_integral, integrate
+from .quadrature import (QuadratureRule, cell_integrals, cell_mesh,
+                         cumulative_integral, integrate)
 from .systems import (
     FunctionSpec,
     SystemHandle,
@@ -49,13 +50,25 @@ class CoefficientTable:
 
 def coefficients(system: SystemHandle, f: FunctionSpec,
                  n_max: int) -> CoefficientTable:
-    """Coefficients ``C_k = int_0^1 f phi_k`` for k = 1..n_max."""
+    """Coefficients ``C_k = int_0^1 f phi_k`` for k = 1..n_max.
+
+    Both paths sample ``f`` on the fine-pass nodes of the recommended rule,
+    joined by ``f.breakpoints``.  A step system is constant on each cell
+    between its breakpoints, so ``f`` is integrated per cell
+    (:func:`cell_integrals`) and weighed by the elements' values at the cell
+    midpoints: an ``(n_max, cells)`` table instead of ``(n_max, nodes)``.
+    """
     if n_max < 1:
         raise InvalidConfig(
             f"n_max: coefficient tables need n_max >= 1, got {n_max}")
-    rule = recommended_rule(system, n_max)
-    if f.breakpoints:
-        rule = rule.with_breakpoints(f.breakpoints)
+    system_rule = recommended_rule(system, n_max)
+    rule = (system_rule.with_breakpoints(f.breakpoints) if f.breakpoints
+            else system_rule)
+    if system.piecewise_constant:
+        edges = np.array([0.0, *system_rule.breakpoints, 1.0])
+        cells = cell_integrals(f.eval, edges[1:], rule)
+        table = eval_matrix(system, n_max, (edges[:-1] + edges[1:]) / 2.0)
+        return CoefficientTable(system, f, table @ cells)
     nodes, weights, _ = cell_mesh((0.0, 1.0), rule, 2 * rule.panels)
     f_vals = np.broadcast_to(np.asarray(f.eval(nodes), dtype=float), nodes.shape)
     table = eval_matrix(system, n_max, nodes)

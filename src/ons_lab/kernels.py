@@ -27,16 +27,19 @@ A :class:`KernelContext` pins ``(system, n, rule)`` and caches the
 prefix table shared by every evaluation point, so sweeps over ``x``
 reuse one table.  The quadrature rule is built on first use, so
 closed-form paths never construct it.  Contexts are read-only after
-construction apart from idempotent caches guarded by a lock; evaluations
-are pure.
+construction apart from those two caches; evaluations are pure.
+
+Step systems with closed-form antiderivatives need no quadrature for the
+kernel integrals over ``u``: ``Q_n(., x)`` is linear between breakpoints,
+so the Lemma 3 cell integrals of ``|Q_n|`` are sums over its values at
+breakpoints, and the Dirichlet-kernel mean is ``sum phi_k(x) g_k(1)``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import threading
-from functools import partial
+from functools import cached_property, partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -45,6 +48,7 @@ from .errors import InvalidConfig
 from .quadrature import (
     IntegrationResult,
     QuadratureRule,
+    _inner_breakpoints,
     cumulative_integral,
     integrate,
     integrate_abs,
@@ -73,17 +77,14 @@ class KernelContext:
             raise InvalidConfig(f"n: kernel context needs n >= 1, got {n}")
         self.system = system
         self.n = int(n)
-        self._rule = rule
-        self._lock = threading.Lock()
+        if rule is not None:
+            self.rule = rule
         self._prefix_table = None    # int_0^{i/n} g_k, shape (n, n)
 
-    @property
+    @cached_property
     def rule(self) -> QuadratureRule:
         """Quadrature rule for indices up to ``n``, built on first access."""
-        with self._lock:
-            if self._rule is None:
-                self._rule = recommended_rule(self.system, self.n)
-            return self._rule
+        return recommended_rule(self.system, self.n)
 
     # -- antiderivative evaluation -------------------------------------
 
@@ -105,14 +106,10 @@ class KernelContext:
 
     def prefix_table(self) -> np.ndarray:
         """``int_0^{i/n} g_k`` for every index k and mesh point i/n, cached."""
-        with self._lock:
-            table = self._prefix_table
-        if table is None:
-            table = _prefix_rows(self, np.arange(1, self.n + 1),
-                                 np.arange(1, self.n + 1) / self.n)
-            with self._lock:
-                self._prefix_table = table
-        return table
+        if self._prefix_table is None:
+            ks = np.arange(1, self.n + 1)
+            self._prefix_table = _prefix_rows(self, ks, ks / self.n)
+        return self._prefix_table
 
 
 def _prefix_rows(ctx: KernelContext, ks: np.ndarray, ts) -> np.ndarray:
@@ -251,23 +248,58 @@ def boundedness_functional_naive(ctx: KernelContext, x: float) -> float:
 def cell_abs_integral(ctx: KernelContext, i: int, x: float) -> IntegrationResult:
     """Integral of the absolute antiderivative kernel over cell i of n.
 
-    The cell ``[(i - 1)/n, i/n]`` is integrated by :func:`integrate_abs`
-    with the rule's breakpoints but cell-sized panels: ``max(2,
-    ceil(rule.panels / n))`` per breakpoint segment, the share of the
-    panels for [0, 1] that falls on one cell (:func:`_cell_rule`).  The
+    The kernel takes only the rows where ``phi_k(x) != 0``.  For a step
+    system with closed-form ``g_k`` it is linear between the rule's
+    breakpoints, so its values at the cell's edges and inner breakpoints
+    give the integral exactly up to rounding (:func:`_abs_piecewise_linear`);
+    the result's ``est_error`` is 0 and ``panels_used`` counts the pieces.
+
+    Otherwise the cell ``[(i - 1)/n, i/n]`` is integrated by
+    :func:`integrate_abs` with the rule's breakpoints but cell-sized panels:
+    ``max(2, ceil(rule.panels / n))`` per breakpoint segment, the share of
+    the panels for [0, 1] that falls on one cell (:func:`_cell_rule`).  The
     kernel's zeros in the cell are found in one sampled scan and refined
-    together, and the kernel takes only the rows where ``phi_k(x) != 0``.
+    together.
     """
     if not 1 <= i <= ctx.n:
         raise ValueError("cell index must satisfy 1 <= i <= n")
+    lo, hi = (i - 1) / ctx.n, i / ctx.n
     rows = _live_rows(ctx, x)
+    if ctx.system.exact_steps:
+        edges = np.concatenate(([lo], _inner_breakpoints(ctx.rule, lo, hi),
+                                [hi]))
+        q = _live_sum(ctx.g_values, *rows, edges)
+        return IntegrationResult(_abs_piecewise_linear(edges, q), 0.0,
+                                 len(edges) - 1)
     return integrate_abs(lambda u: _live_sum(ctx.g_values, *rows, u),
-                         _cell_rule(ctx.rule, 1.0 / ctx.n),
-                         (i - 1) / ctx.n, i / ctx.n)
+                         _cell_rule(ctx.rule, 1.0 / ctx.n), lo, hi)
+
+
+def _abs_piecewise_linear(edges: np.ndarray, q: np.ndarray) -> float:
+    """``int |Q|`` over ``[edges[0], edges[-1]]`` for Q linear between the
+    edges, with values q at them.
+
+    A piece of width h from a to b gives ``(|a| + |b|) h / 2`` when a and b
+    share a sign, and ``(a^2 + b^2) h / (2 |a - b|)`` when the zero between
+    them splits it into two triangles.
+    """
+    a, b = q[:-1], q[1:]
+    heights = np.abs(a) + np.abs(b)         # equals |a - b| where signs differ
+    cross = np.sign(a) * np.sign(b) < 0.0
+    heights[cross] = (a[cross] ** 2 + b[cross] ** 2) / heights[cross]
+    return math.fsum(heights * np.diff(edges) / 2.0)
 
 
 def dirichlet_mean(ctx: KernelContext, x: float) -> float:
-    """Quadrature value of ``int_0^1`` of the Dirichlet-type kernel at x."""
+    """``int_0^1`` of the Dirichlet-type kernel at x.
+
+    For a step system with closed-form ``g_k`` this is ``sum phi_k(x)
+    g_k(1)`` over the rows where ``phi_k(x) != 0``, exact up to rounding;
+    otherwise quadrature.  (A cosine ``g_k(1)`` is a rounded ``sin 2 pi k``,
+    no closer to its exact 0 than the quadrature value.)
+    """
+    if ctx.system.exact_steps:
+        return antiderivative_kernel(ctx, 1.0, x)
     return integrate(lambda u: dirichlet_kernel(ctx, u, x), ctx.rule).value
 
 

@@ -4,22 +4,27 @@ The machinery is deliberately plain: fixed-order Gauss-Legendre panels
 laid uniformly between declared breakpoints.  :func:`integrate` returns a
 value with an error estimate from re-running at twice the panel count;
 :func:`cumulative_integral` gives prefix integrals on a grid from the
-fine pass alone, with no estimate; :func:`integrate_abs` first splits
-``|f|`` at the zeros of ``f``.  Not every integral goes through these:
-Fourier coefficients and Gram matrices are dense products over
-:func:`cell_mesh` nodes, and the boundedness sweeps read closed-form
-antiderivatives wherever a system has them.  Piecewise-constant
-integrands whose jumps are declared as breakpoints are integrated exactly
-up to rounding; smooth oscillatory integrands converge spectrally once the
-panel width resolves the oscillation.
+fine pass alone, with no estimate, as the prefix sums of the per-cell
+values of :func:`cell_integrals`; :func:`integrate_abs` first splits
+``|f|`` at the zeros of ``f``.  Not every integral goes through these.
+Fourier coefficients and Gram matrices of smooth systems are dense
+products over :func:`cell_mesh` nodes.  Step systems avoid those
+products: their coefficients weigh per-cell integrals of ``f`` by element
+values at cell midpoints, and their Gram rows and Lemma 3 cell integrals
+are exact sums over antiderivative values at breakpoints.  The
+boundedness sweeps read closed-form antiderivatives wherever a system has
+them.
+Piecewise-constant integrands whose jumps are declared as breakpoints are
+integrated exactly up to rounding; smooth oscillatory integrands converge
+spectrally once the panel width resolves the oscillation.
 
 Every node set comes from :func:`cell_mesh`, which lays those panels
 over the cells of a grid.
 
 Integrands must accept a numpy array of abscissae and return values of
-the same shape (scalar returns are broadcast); :func:`cumulative_integral`
-also takes integrands that return a table with one row per function.  All
-functions here are pure and safe for concurrent use.
+the same shape (scalar returns are broadcast); :func:`cell_integrals` and
+:func:`cumulative_integral` also take integrands that return a table with
+one row per function.  All functions here are pure.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import numpy as np
 
 from .errors import InvalidInterval, NonFiniteIntegrand
 
-# Nodes per integrand call in cumulative_integral and in the scan of
+# Nodes per integrand call in integrate, cell_integrals and the scan of
 # integrate_abs.  Kernel integrands build an (n, nodes) table, which for a
 # whole sign-system mesh (2^16 breakpoints) takes gigabytes; blocks that fit
 # in cache also measured fastest.
@@ -181,8 +186,8 @@ def integrate(f: Callable, rule: QuadratureRule,
 
     The value is computed with ``2 * rule.panels`` uniform panels between
     adjacent breakpoints and the reported error estimate is the difference
-    against the single-refinement coarse pass.  No further adaptivity is
-    attempted.
+    against the single-refinement coarse pass; ``f`` is sampled in blocks
+    of nodes.  No further adaptivity is attempted.
 
     Raises
     ------
@@ -200,20 +205,20 @@ def integrate(f: Callable, rule: QuadratureRule,
 
     coarse_nodes, coarse_w, _ = cell_mesh((a, b), rule, rule.panels)
     fine_nodes, fine_w, _ = cell_mesh((a, b), rule, 2 * rule.panels)
-    coarse = float(np.dot(coarse_w, _sample(f, coarse_nodes)))
-    fine = float(np.dot(fine_w, _sample(f, fine_nodes)))
+    coarse = float(np.dot(coarse_w, _sample_blocks(f, coarse_nodes)))
+    fine = float(np.dot(fine_w, _sample_blocks(f, fine_nodes)))
     return IntegrationResult(fine, abs(fine - coarse),
                              len(fine_nodes) // rule.order)
 
 
-def cumulative_integral(f: Callable, grid: Sequence[float],
-                        rule: QuadratureRule) -> np.ndarray:
-    """Antiderivative values ``F(t_j) = int_0^{t_j} f`` on a sorted grid.
+def cell_integrals(f: Callable, grid: Sequence[float],
+                   rule: QuadratureRule) -> np.ndarray:
+    """Integrals of ``f`` over the cells ``[t_{j-1}, t_j]`` of ``(0, *grid)``.
 
-    The cells of ``(0, *grid)`` get the nodes of the fine pass of
-    :func:`integrate` (``2 * rule.panels`` panels per breakpoint segment);
-    ``f`` is sampled over that whole mesh, in blocks of nodes, summed per
-    cell and prefix-summed.  No error estimate is formed.
+    The cells get the nodes of the fine pass of :func:`integrate`
+    (``2 * rule.panels`` panels per breakpoint segment); ``f`` is sampled
+    over that whole mesh, in blocks of nodes, and summed per cell.  No
+    error estimate is formed; an empty cell gives 0.
 
     ``f`` may return a table ``(rows, nodes)``, one row per integrand; the
     result is then ``(rows, len(grid))``, and each row is bitwise the value
@@ -229,7 +234,14 @@ def cumulative_integral(f: Callable, grid: Sequence[float],
     filled = np.diff(starts, append=len(nodes)) > 0
     if np.any(filled):
         cells[..., filled] = np.add.reduceat(vals, starts[filled], axis=-1)
-    return np.cumsum(cells, axis=-1)
+    return cells
+
+
+def cumulative_integral(f: Callable, grid: Sequence[float],
+                        rule: QuadratureRule) -> np.ndarray:
+    """Antiderivative values ``F(t_j) = int_0^{t_j} f`` on a sorted grid:
+    the prefix sums of :func:`cell_integrals`, with the same row contract."""
+    return np.cumsum(cell_integrals(f, grid, rule), axis=-1)
 
 
 def integrate_abs(f: Callable, rule: QuadratureRule,

@@ -66,7 +66,7 @@ class SystemHandle:
         Closed-form second antiderivative ``int_0^u int_0^t``, when known.
     period : callable or None
         ``k -> Fraction`` period of element k of a step system, which lets
-        exact inner products sum over one common period.
+        an exact Gram row sum over one period of its first element.
     breakpoints_in : callable or None
         ``(k, lo, hi) -> tuple`` of breakpoints inside a window; only needed
         when the full list is too large to enumerate.
@@ -84,6 +84,13 @@ class SystemHandle:
     period: Optional[Callable[[int], Fraction]] = None
     breakpoints_in: Optional[Callable] = None
     antideriv2_cos: Optional[Callable] = None
+
+    @property
+    def exact_steps(self) -> bool:
+        """Step elements with closed-form antiderivatives: inner products,
+        and integrals of the kernels over ``u``, are then sums over
+        antiderivative values at breakpoints, exact up to rounding."""
+        return self.piecewise_constant and self.antideriv is not None
 
 
 @dataclass(frozen=True)
@@ -542,46 +549,40 @@ def _window_breakpoints(system: SystemHandle, k: int,
     return tuple(p for p in system.breakpoints(k) if lo < p < hi)
 
 
-def _step_inner_product(system: SystemHandle, j: int, k: int) -> float:
-    """Exact inner product for piecewise-constant systems.
+def _step_gram_row(system: SystemHandle, j: int, ks) -> np.ndarray:
+    """Exact inner products of element j with elements ``ks`` (each >= j) of
+    a piecewise-constant system.
 
-    The product of two elements is integrated by summing, over the constant
-    pieces of the coarser element, its value times the antiderivative
-    increment of the finer one.  When both elements are periodic with
-    compatible periods the sum runs over a single common period only, which
+    Over the constant pieces of element j, its value times the increment of
+    ``g_k`` across the piece, summed: one antiderivative table for the whole
+    row.  When element j is periodic and the period of every ``k`` divides
+    its own, the sum runs over a single period of j and is repeated, which
     keeps sign-system products with ~2**k jumps tractable.
     """
+    ks = np.asarray(ks, dtype=np.int64)
     window, count = Fraction(1), 1
-    if system.period is not None:
-        pj, pk = system.period(j), system.period(k)
-        if pj is not None and pk is not None:
-            big, small = max(pj, pk), min(pj, pk)
-            if (big / small).denominator == 1 and (1 / big).denominator == 1:
-                window, count = big, int(1 / big)
-
-    def pieces(idx: int) -> int:
-        if system.period is not None and system.period(idx) is not None:
-            period = system.period(idx)
-            per_period = len(_window_breakpoints(
-                system, idx, 0.0, float(period))) + 1
-            return round(window / period) * per_period
-        return len(system.breakpoints(idx)) + 1
-
-    coarse, fine = (j, k) if pieces(j) <= pieces(k) else (k, j)
-    edges = np.array([0.0, *_window_breakpoints(system, coarse, 0.0,
-                                                float(window)), float(window)])
-    mids = (edges[:-1] + edges[1:]) / 2.0
-    coarse_vals = np.asarray(system.eval(coarse, mids), dtype=float)
-    fine_anti = np.asarray(system.antideriv(fine, edges), dtype=float)
-    one_window = float(np.dot(coarse_vals, np.diff(fine_anti)))
-    # exact: count reaches 2^1072, past the largest double
-    return float(count * Fraction(one_window))
+    pj = None if system.period is None else system.period(j)
+    if pj is not None and (1 / pj).denominator == 1 and all(
+            p is not None and (pj / p).denominator == 1
+            for p in map(system.period, ks.tolist())):
+        window, count = pj, int(1 / pj)
+    edges = np.array([0.0, *_window_breakpoints(system, j, 0.0, float(window)),
+                      float(window)])
+    values = np.asarray(system.eval(j, (edges[:-1] + edges[1:]) / 2.0),
+                        dtype=float)
+    increments = np.diff(index_table(system.antideriv, ks, edges), axis=1)
+    row = increments @ values + 0.0     # -0.0 becomes 0.0, as Fraction does
+    if count != 1:
+        live = np.flatnonzero(row)
+        # exact: count reaches 2^1072, past the largest double
+        row[live] = [float(count * Fraction(v)) for v in row[live].tolist()]
+    return row
 
 
 def inner_product(system: SystemHandle, j: int, k: int) -> float:
     """L2 inner product of elements j and k of a system."""
-    if system.piecewise_constant and system.antideriv is not None:
-        return _step_inner_product(system, j, k)
+    if system.exact_steps:
+        return float(_step_gram_row(system, min(j, k), [max(j, k)])[0])
     rule = recommended_rule(system, max(j, k))
     return integrate(lambda u: np.asarray(system.eval(j, u), dtype=float)
                      * np.asarray(system.eval(k, u), dtype=float), rule).value
@@ -591,12 +592,11 @@ def gram_matrix(system: SystemHandle, n: int) -> np.ndarray:
     """Matrix of pairwise inner products of the first n elements."""
     if n < 1:
         raise InvalidConfig(f"n: Gram matrix needs n >= 1, got {n}")
-    if system.piecewise_constant and system.antideriv is not None:
+    if system.exact_steps:
         out = np.empty((n, n))
         for j in range(1, n + 1):
-            for k in range(j, n + 1):
-                out[j - 1, k - 1] = out[k - 1, j - 1] = _step_inner_product(
-                    system, j, k)
+            out[j - 1, j - 1:] = out[j - 1:, j - 1] = _step_gram_row(
+                system, j, np.arange(j, n + 1))
         return out
     rule = recommended_rule(system, n)
     nodes, weights, _ = cell_mesh((0.0, 1.0), rule, 2 * rule.panels)

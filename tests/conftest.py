@@ -7,6 +7,10 @@ from ons_lab import get_system
 CATALOG = ("cosine", "haar", "rademacher", "reflect(cosine)",
            "reflect2(cosine)", "reflect(haar)")
 
+#: Every step system with closed-form antiderivatives, by catalog name.
+STEP_CATALOG = ("haar", "rademacher", "reflect(haar)", "reflect2(haar)",
+                "reflect(rademacher)", "reflect2(rademacher)")
+
 
 @pytest.fixture(scope="session")
 def catalog_systems():

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from ons_lab import (
     partial_sum_sweep,
     summation_identity,
 )
+from ons_lab.systems import breakpoints_upto, eval_matrix
 
 SQ2 = np.sqrt(2.0)
 
@@ -45,6 +48,26 @@ class TestCoefficients:
             fresh = integrate(lambda u, k=k: np.asarray(f.eval(u)) * np.asarray(
                 sys_.eval(k, u), dtype=float), rule).value
             assert abs(table.coeffs[k - 1] - fresh) < 2e-10
+
+    @pytest.mark.parametrize("name, n", [("rademacher", 14), ("haar", 512),
+                                         ("reflect(haar)", 64)])
+    def test_step_coefficients_match_fraction_oracle(self, name, n):
+        # f = u^2/2 has F = u^3/6.  Element k is +-amp_k or 0 on each cell
+        # between dyadic edges a_j / D, so C_k / amp_k is exactly the signed
+        # sum of the cells' increments (a_{j+1}^3 - a_j^3) / (6 D^3)
+        sys_ = get_system(name)
+        edges = np.array([0.0, *breakpoints_upto(sys_, n), 1.0])
+        D = max(Fraction(e).denominator for e in edges)
+        a = [int(Fraction(e) * D) for e in edges]
+        steps = [hi ** 3 - lo ** 3 for lo, hi in zip(a, a[1:])]
+        values = eval_matrix(sys_, n, (edges[:-1] + edges[1:]) / 2.0)
+        got = coefficients(sys_, get_function("half-square"), n).coeffs
+        for k in range(n):
+            amp = np.abs(values[k]).max()
+            signs = (values[k] / amp).astype(int).tolist()   # exact +-1, 0
+            want = Fraction(sum(s * d for s, d in zip(signs, steps) if s),
+                            6 * D ** 3)
+            assert abs(Fraction(got[k] / amp) - want) <= 1e-15, k + 1
 
 
 class TestPartialSum:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CATALOG, riemann_midpoint
+from conftest import CATALOG, STEP_CATALOG, riemann_midpoint
 from ons_lab import (
     KernelContext,
     QuadratureRule,
@@ -33,7 +33,8 @@ from ons_lab import (
     square_sum_ratio,
     system_values,
 )
-from ons_lab.kernels import _prefix_rows, _prefix_values
+from ons_lab.kernels import (_abs_piecewise_linear, _prefix_rows,
+                             _prefix_values)
 from ons_lab.systems import breakpoints_upto, eval_matrix, index_table
 
 SQ2 = np.sqrt(2.0)
@@ -200,8 +201,10 @@ class TestCellBound:
         with pytest.raises(ValueError):
             cell_abs_integral(ctx, 5, 0.3)
 
-    @pytest.mark.parametrize("name", ["haar", "reflect(haar)", "reflect2(haar)"])
-    @pytest.mark.parametrize("n", [3, 8, 16])
+    @pytest.mark.parametrize("name", ["haar", "reflect(haar)",
+                                      "reflect2(haar)", "rademacher",
+                                      "reflect(rademacher)"])
+    @pytest.mark.parametrize("n", [3, 4, 8, 16])
     def test_step_systems_match_piecewise_linear_oracle(self, name, n):
         # g_k is linear between the breakpoints of element k, so on each
         # piece of a cell |K| is the absolute value of a linear function,
@@ -221,6 +224,17 @@ class TestCellBound:
                            in zip(edges[:-1], edges[1:], ks[:-1], ks[1:]))
                 got = cell_abs_integral(ctx, i, x).value
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-16)
+
+    @pytest.mark.parametrize("name", STEP_CATALOG)
+    def test_step_cells_take_no_quadrature(self, name, monkeypatch):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("a step-system cell went to integrate_abs")
+
+        monkeypatch.setattr("ons_lab.kernels.integrate_abs", no_quadrature)
+        ctx = KernelContext(get_system(name), 8)
+        for x in (0.0, 0.3, 1.0):
+            for i in (1, 4, 8):
+                assert cell_abs_integral(ctx, i, x).est_error == 0.0
 
     @pytest.mark.parametrize("name", ["cosine", "reflect(cosine)",
                                       "reflect2(cosine)"])
@@ -250,6 +264,19 @@ class TestCellBound:
                                  lo, hi).value
                 got = cell_abs_integral(ctx, i, x).value
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-16)
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=12),
+       widths=st.lists(st.floats(1e-3, 1.0), min_size=11, max_size=11))
+def test_abs_piecewise_linear_matches_zero_split(q, widths):
+    # catalog kernels change sign inside a piece only by rounding, so the
+    # two-triangle branch is checked here on arbitrary values
+    edges = np.concatenate(([0.0], np.cumsum(widths[:len(q) - 1])))
+    want = sum(_abs_linear_integral(a, b, ka, kb) for a, b, ka, kb
+               in zip(edges[:-1], edges[1:], q[:-1], q[1:]))
+    got = _abs_piecewise_linear(edges, np.array(q))
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
 def _abs_linear_integral(a, b, ka, kb):
@@ -287,6 +314,23 @@ class TestDirichletMeanIdentity:
                 lhs = dirichlet_mean(ctx, x)
                 rhs = partial_sum(table, n, x)
                 assert abs(lhs - rhs) < 1e-8
+
+    @pytest.mark.parametrize("name", STEP_CATALOG)
+    def test_step_mean_matches_kernel_quadrature(self, name):
+        # sum phi_k(x) g_k(1) against quadrature of the kernel, to 1e-14
+        sys_ = get_system(name)
+        ctx = KernelContext(sys_, 10 if "rademacher" in name else 32)
+        for x in (0.0, 0.3, 0.9):
+            want = integrate(lambda u: dirichlet_kernel(ctx, u, x),
+                             ctx.rule).value
+            assert abs(dirichlet_mean(ctx, x) - want) < 1e-14
+
+    def test_step_means_are_exact(self):
+        # every sign-system g_k(1) is 0, and every Haar g_k(1) but g_1(1) = 1
+        for x in (0.0, 0.3, 1.0):
+            assert dirichlet_mean(KernelContext(get_system("rademacher"), 16),
+                                  x) == 0.0
+            assert dirichlet_mean(KernelContext(haar_system(), 64), x) == 1.0
 
 
 def _stripped_cosine() -> SystemHandle:
@@ -368,14 +412,15 @@ class TestNumericAntiderivativeFallback:
         ctx = KernelContext(haar_system(), 64)
         for x in (0.0, 0.3, 1.0):
             boundedness_functional(ctx, x)
-        assert ctx._rule is None and ctx._prefix_table is None
+        # the rule is a cached property, stored in the instance once built
+        assert "rule" not in vars(ctx) and ctx._prefix_table is None
         assert ctx.rule.breakpoints            # still available on demand
 
     def test_cosine_context_builds_no_table(self):
         ctx = KernelContext(cosine_system(), 64)
         for x in (0.0, 0.3, 1.0):
             boundedness_functional(ctx, x)
-        assert ctx._prefix_table is None and ctx._rule is None
+        assert ctx._prefix_table is None and "rule" not in vars(ctx)
 
     @pytest.mark.parametrize("name", ["haar", "reflect(haar)"])
     def test_numeric_sparse_rows_match_closed_form(self, name):

@@ -16,7 +16,7 @@ from ons_lab import (
     integrate_abs,
     recommended_rule,
 )
-from ons_lab.quadrature import _refine_zeros
+from ons_lab.quadrature import _SAMPLE_BLOCK, _refine_zeros
 
 
 def haar_x2(u):
@@ -54,6 +54,21 @@ class TestIntegrate:
         with pytest.raises(NonFiniteIntegrand):
             integrate(lambda u: np.where(u > 0.3, np.nan, 1.0),
                       QuadratureRule())
+
+    def test_samples_in_blocks(self):
+        # a mesh many blocks long: no call sees more than one block, and the
+        # value is bitwise the one-call sum over the fine-pass nodes
+        rule = QuadratureRule(panels=2, breakpoints=np.arange(1, 1024) / 1024)
+        sizes = []
+
+        def f(u):
+            sizes.append(len(u))
+            return np.cos(7.0 * u)
+
+        got = integrate(f, rule).value
+        nodes, weights, _ = cell_mesh((0.0, 1.0), rule, 2 * rule.panels)
+        assert max(sizes) <= _SAMPLE_BLOCK < len(nodes)
+        assert got == float(np.dot(weights, np.cos(7.0 * nodes)))
 
     def test_empty_interval(self):
         res = integrate(lambda u: u, QuadratureRule(), 0.4, 0.4)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CATALOG, gram_tolerance
+from conftest import CATALOG, STEP_CATALOG, gram_tolerance
 from ons_lab import (
     InvalidConfig,
     QuadratureRule,
@@ -27,7 +27,8 @@ from ons_lab import (
     recommended_rule,
     system_values,
 )
-from ons_lab.systems import SIGN_SYSTEM_K_MAX, breakpoints_upto
+from ons_lab.systems import (SIGN_SYSTEM_K_MAX, _window_breakpoints,
+                             breakpoints_upto)
 
 SQ2 = np.sqrt(2.0)
 
@@ -354,6 +355,48 @@ class TestGram:
         row = np.array([inner_product(sys_, j, k) for j in js])
         want = np.array([float(j == k) for j in js])
         assert np.abs(row - want).max() < gram_tolerance(sys_), (js, k)
+
+    @pytest.mark.parametrize("name", STEP_CATALOG)
+    def test_step_gram_is_bitwise_the_pairwise_products(self, name):
+        sys_ = get_system(name)
+        n = 10 if "rademacher" in name else 32
+        G = gram_matrix(sys_, n)
+        pairs = [(j, k) for j in range(1, n + 1) for k in range(1, n + 1)]
+        want = np.array([_pairwise_step_product(sys_, min(j, k), max(j, k))
+                         for j, k in pairs]).reshape(n, n)
+        assert np.array_equal(G.view(np.int64), want.view(np.int64))
+        assert np.array_equal(
+            G, np.array([inner_product(sys_, j, k)
+                         for j, k in pairs]).reshape(n, n))
+
+    def test_rademacher_256_is_identity_within_four_ulps(self):
+        G = gram_matrix(rademacher_system(), 256)
+        assert np.abs(G - np.eye(256)).max() <= 4 * np.finfo(float).eps
+
+
+def _pairwise_step_product(system, j: int, k: int) -> float:
+    """Reference step-system inner product, one pair j <= k at a time:
+    summed over the pieces of whichever element has fewer of them in the
+    common period of both (when they have one), then repeated exactly."""
+    window, count = Fraction(1), 1
+    if system.period is not None:
+        big, small = sorted((system.period(j), system.period(k)))[::-1]
+        if (big / small).denominator == 1 and (1 / big).denominator == 1:
+            window, count = big, int(1 / big)
+
+    def pieces(idx: int) -> int:
+        if system.period is not None:
+            period = system.period(idx)
+            return round(window / period) * (len(_window_breakpoints(
+                system, idx, 0.0, float(period))) + 1)
+        return len(system.breakpoints(idx)) + 1
+
+    coarse, fine = (j, k) if pieces(j) <= pieces(k) else (k, j)
+    edges = np.array([0.0, *_window_breakpoints(system, coarse, 0.0,
+                                                float(window)), float(window)])
+    values = np.asarray(system.eval(coarse, (edges[:-1] + edges[1:]) / 2.0))
+    one_window = float(np.dot(values, np.diff(system.antideriv(fine, edges))))
+    return float(count * Fraction(one_window))
 
 
 class TestCompressReflect:
