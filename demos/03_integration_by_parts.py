@@ -10,6 +10,7 @@ Both sides are computed by quadrature; the residual is roundoff.
 """
 
 from ons_lab import (
+    KernelContext,
     coefficients,
     get_function,
     get_system,
@@ -26,7 +27,8 @@ print(table.coeffs[:6].round(6))
 print("S_16(0.3):", partial_sum(table, 16, 0.3))
 
 for n in (4, 8, 16, 32):
-    split = partial_sum_by_parts(haar, bump, n, 0.3, table=table)
+    split = partial_sum_by_parts(KernelContext(haar, n), bump, 0.3,
+                                 table=table)
     print(f"n={n:3d}  sum={split.partial_sum:+.8f}  "
           f"boundary={split.boundary_term:+.8f}  "
           f"derivative={split.derivative_term:+.8f}  "
@@ -34,7 +36,8 @@ for n in (4, 8, 16, 32):
 
 # The identity function has f' = 1 and f(1) = 1; on the cosine system all
 # its coefficients vanish, so both routes must give zero.
-split = partial_sum_by_parts(get_system("cosine"), get_function("id"), 8, 0.2)
+split = partial_sum_by_parts(KernelContext(get_system("cosine"), 8),
+                             get_function("id"), 0.2)
 print("\nidentity function on cosine: sum =", f"{split.partial_sum:.2e},",
       "boundary - derivative =",
       f"{split.boundary_term - split.derivative_term:.2e}")

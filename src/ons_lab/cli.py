@@ -318,9 +318,10 @@ def _run_lemma4(config: ExperimentConfig):
     n = config.extras["n"]
     tol = _tolerance(config, "check")
     table = fourier.coefficients(system, f, n)
+    ctx = kernels.KernelContext(system, n)
     rows, worst = [], 0.0
     for x in config.x_points:
-        split = fourier.partial_sum_by_parts(system, f, n, x, table=table)
+        split = fourier.partial_sum_by_parts(ctx, f, x, table=table)
         worst = max(worst, abs(split.residual))
         rows.append((float(x), split.partial_sum, split.boundary_term,
                      split.derivative_term, split.residual))

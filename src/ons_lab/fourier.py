@@ -108,19 +108,20 @@ class ByPartsSplit:
         return self.partial_sum - (self.boundary_term - self.derivative_term)
 
 
-def partial_sum_by_parts(system: SystemHandle, f: FunctionSpec, n: int, x: float,
+def partial_sum_by_parts(ctx: KernelContext, f: FunctionSpec, x: float,
                          table: Optional[CoefficientTable] = None) -> ByPartsSplit:
-    """Split ``S_n(x)`` into boundary and derivative kernel integrals.
+    """Split ``S_n(x)`` into boundary and derivative kernel integrals, with
+    the system and n of ``ctx``.
 
     Requires ``f.deriv``.  The derivative term integrates ``f'(u)`` against
-    the antiderivative kernel in the integration variable.
+    the antiderivative kernel in the integration variable.  One context
+    serves every x, so a sweep builds its quadrature rule once.
     """
     if f.deriv is None:
         raise MissingDerivative(f"function {f.name!r} has no derivative evaluator")
     if table is None:
-        table = coefficients(system, f, n)
-    lhs = partial_sum(table, n, x)
-    ctx = KernelContext(system, n)
+        table = coefficients(ctx.system, f, ctx.n)
+    lhs = partial_sum(table, ctx.n, x)
     quad_rule = ctx.rule.with_breakpoints(f.breakpoints) if f.breakpoints else ctx.rule
     boundary = f.value_at_1 * dirichlet_mean(ctx, x)
     deriv = f.deriv

@@ -27,15 +27,13 @@ from .quadrature import QuadratureRule, cell_mesh, integrate
 SQRT2 = np.sqrt(2.0)
 
 #: Largest index for which a sign-system breakpoint list is enumerated
-#: (2**k - 1 entries); beyond this only windowed enumeration is offered.
+#: (2**k - 1 entries); beyond this only the period hook describes the jumps.
 SIGN_SYSTEM_BP_MAX = 16
 
-#: Largest sign-system index whose jumps j / 2^k, and the midpoints between
-#: them, are doubles (the smallest positive double is 2^-1074); windowed
-#: enumeration, and with it exact inner products, stop here.
+#: Largest sign-system index whose first-period jump 2^-k, and the midpoints
+#: on either side of it, are doubles (the smallest positive double is
+#: 2^-1074); exact inner products of two elements past it are refused.
 SIGN_SYSTEM_K_MAX = 1073
-
-_MAX_WINDOW_PIECES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -65,11 +63,11 @@ class SystemHandle:
     antideriv2 : callable or None
         Closed-form second antiderivative ``int_0^u int_0^t``, when known.
     period : callable or None
-        ``k -> Fraction`` period of element k of a step system, which lets
-        an exact Gram row sum over one period of its first element.
-    breakpoints_in : callable or None
-        ``(k, lo, hi) -> tuple`` of breakpoints inside a window; only needed
-        when the full list is too large to enumerate.
+        ``k -> (repeats, jumps)`` for a step system whose element k repeats
+        an integer ``repeats`` times on [0, 1]; ``jumps`` are its
+        breakpoints inside the first repetition, ``(0, 1 / repeats)``.  An
+        exact Gram row then sums over one repetition of its first element,
+        so it also serves elements with too many jumps to list.
     antideriv2_cos : callable or None
         ``k -> c_k``, set when ``antideriv2(k, u) = c_k * (1 - cos(2 pi k u))``;
         prefix integrals on the mesh ``i/n`` are then one length-n DFT.
@@ -81,8 +79,7 @@ class SystemHandle:
     breakpoints: Callable[[int], tuple]
     piecewise_constant: bool = False
     antideriv2: Optional[Callable] = None
-    period: Optional[Callable[[int], Fraction]] = None
-    breakpoints_in: Optional[Callable] = None
+    period: Optional[Callable[[int], tuple]] = None
     antideriv2_cos: Optional[Callable] = None
 
     @property
@@ -268,32 +265,17 @@ def _rademacher_antideriv2(k, u):
 def _rademacher_breakpoints(k: int) -> tuple:
     if k > SIGN_SYSTEM_BP_MAX:
         raise OnsLabError(
-            f"sign system element {k} has {2 ** k - 1} jumps; enumerate via "
-            f"breakpoints_in on a window, or use the closed-form antiderivative")
+            f"sign system element {k} has {2 ** k - 1} jumps; breakpoint "
+            f"lists stop at k = {SIGN_SYSTEM_BP_MAX}")
     denom = 1 << k
     return tuple(np.arange(1, denom) / denom)
 
 
-def _rademacher_breakpoints_in(k: int, lo: float, hi: float) -> tuple:
-    if k > SIGN_SYSTEM_K_MAX:
-        raise InvalidConfig(
-            f"sign system element {k}: jumps j / 2^k are doubles only up to "
-            f"k = {SIGN_SYSTEM_K_MAX}")
-    first = _floor_scaled(lo, k) + 1
-    last = -_floor_scaled(-hi, k) - 1
-    if last - first + 1 > _MAX_WINDOW_PIECES:
-        raise OnsLabError("window contains too many sign-system jumps")
-    if last >= 1 << 53:
-        raise InvalidConfig(f"sign system element {k}: jumps in "
-                            f"[{lo}, {hi}] are not doubles")
-    return tuple(math.ldexp(j, -k) for j in range(first, last + 1))
-
-
-def _floor_scaled(v: float, k: int) -> int:
-    """``floor(v * 2^k)``, exact: ``v = m * 2^e`` with integer m."""
-    frac, e = math.frexp(v)
-    m, shift = int(math.ldexp(frac, 53)), e - 53 + k
-    return m << shift if shift >= 0 else m >> -shift
+def _rademacher_period(k: int) -> tuple:
+    # 2^(k-1) periods, each jumping at its middle; the jump underflows to
+    # 0.0 past k = 1074, which only matters to a row of that element
+    k = int(k)
+    return 1 << (k - 1), (math.ldexp(1.0, -k),)
 
 
 def rademacher_system() -> SystemHandle:
@@ -305,8 +287,7 @@ def rademacher_system() -> SystemHandle:
         breakpoints=_rademacher_breakpoints,
         piecewise_constant=True,
         antideriv2=_rademacher_antideriv2,
-        period=lambda k: Fraction(1, 1 << (int(k) - 1)),
-        breakpoints_in=_rademacher_breakpoints_in,
+        period=_rademacher_period,
     )
 
 
@@ -542,40 +523,34 @@ def _check_x(x: float, name: str = "x") -> None:
         raise InvalidConfig(f"{name} must lie in [0, 1], got {x}")
 
 
-def _window_breakpoints(system: SystemHandle, k: int,
-                        lo: float, hi: float) -> tuple:
-    if system.breakpoints_in is not None:
-        return tuple(system.breakpoints_in(k, lo, hi))
-    return tuple(p for p in system.breakpoints(k) if lo < p < hi)
-
-
 def _step_gram_row(system: SystemHandle, j: int, ks) -> np.ndarray:
     """Exact inner products of element j with elements ``ks`` (each >= j) of
     a piecewise-constant system.
 
     Over the constant pieces of element j, its value times the increment of
     ``g_k`` across the piece, summed: one antiderivative table for the whole
-    row.  When element j is periodic and the period of every ``k`` divides
-    its own, the sum runs over a single period of j and is repeated, which
-    keeps sign-system products with ~2**k jumps tractable.
+    row.  When the period hook gives element j ``repeats`` repetitions and
+    every ``k`` a multiple of that many, each k repeats whole inside one
+    repetition of j, so the sum runs over that repetition and is scaled
+    by ``repeats``: sign-system rows with ~2**j jumps stay two pieces wide.
     """
     ks = np.asarray(ks, dtype=np.int64)
-    window, count = Fraction(1), 1
-    pj = None if system.period is None else system.period(j)
-    if pj is not None and (1 / pj).denominator == 1 and all(
-            p is not None and (pj / p).denominator == 1
-            for p in map(system.period, ks.tolist())):
-        window, count = pj, int(1 / pj)
-    edges = np.array([0.0, *_window_breakpoints(system, j, 0.0, float(window)),
-                      float(window)])
-    values = np.asarray(system.eval(j, (edges[:-1] + edges[1:]) / 2.0),
-                        dtype=float)
+    repeats, jumps = (1, None) if system.period is None else system.period(j)
+    if jumps is None or any(system.period(k)[0] % repeats for k in ks.tolist()):
+        repeats, jumps = 1, system.breakpoints(j)
+    # 1 / repeats as a Fraction: 1.0 / 2^1072 overflows the divisor
+    edges = np.array([0.0, *jumps, float(Fraction(1, repeats))])
+    mids = (edges[:-1] + edges[1:]) / 2.0
+    if not np.all((edges[:-1] < mids) & (mids < edges[1:])):
+        raise InvalidConfig(f"{system.name} element {j}: the pieces between "
+                            f"its jumps are too narrow for doubles")
+    values = np.asarray(system.eval(j, mids), dtype=float)
     increments = np.diff(index_table(system.antideriv, ks, edges), axis=1)
     row = increments @ values + 0.0     # -0.0 becomes 0.0, as Fraction does
-    if count != 1:
+    if repeats != 1:
         live = np.flatnonzero(row)
-        # exact: count reaches 2^1072, past the largest double
-        row[live] = [float(count * Fraction(v)) for v in row[live].tolist()]
+        # exact: repeats reaches 2^1072, past the largest double
+        row[live] = [float(repeats * Fraction(v)) for v in row[live].tolist()]
     return row
 
 

@@ -80,9 +80,9 @@ def test_criterion_04_by_parts_identity():
             f = ol.get_function(f_name)
             table = ol.coefficients(system, f, 64)
             for n in (2, 4, 8, 16, 32, 64):
+                ctx = ol.KernelContext(system, n)
                 for x in NINE_POINT_GRID:
-                    split = ol.partial_sum_by_parts(system, f, n, x,
-                                                    table=table)
+                    split = ol.partial_sum_by_parts(ctx, f, x, table=table)
                     worst = max(worst, abs(split.residual))
     ok = worst < 1e-6
     _report(4, "by-parts-identity", ok, f"max |residual| = {worst:.2e} < 1e-6")

@@ -130,8 +130,7 @@ class TestExitCodes:
         assert code == 1 and not path.exists() and cells == []
         assert capsys.readouterr().err == (
             "ons-lab: error: sign system element 17 has 131071 jumps; "
-            "enumerate via breakpoints_in on a window, or use the "
-            "closed-form antiderivative\n")
+            "breakpoint lists stop at k = 16\n")
 
     def test_sign_system_gram_past_the_index_limit_is_one_line(self, tmp_path,
                                                                capsys):
@@ -139,8 +138,8 @@ class TestExitCodes:
                              tmp_path)
         assert code == 1 and not path.exists()
         assert capsys.readouterr().err == (
-            "ons-lab: error: sign system element 1074: jumps j / 2^k are "
-            "doubles only up to k = 1073\n")
+            "ons-lab: error: rademacher element 1074: the pieces between "
+            "its jumps are too narrow for doubles\n")
 
 
 class TestOutputFormats:

@@ -7,6 +7,7 @@ from conftest import CATALOG, riemann_midpoint
 from ons_lab import (
     FunctionSpec,
     IndexOutOfRange,
+    KernelContext,
     MissingDerivative,
     coefficients,
     cosine_system,
@@ -115,15 +116,15 @@ class TestPartialSum:
 class TestByPartsSplit:
     def test_identity_function_on_cosine(self):
         # all cosine coefficients of u vanish, so both routes give zero
-        split = partial_sum_by_parts(cosine_system(), get_function("id"),
-                                     4, 0.2)
+        split = partial_sum_by_parts(KernelContext(cosine_system(), 4),
+                                     get_function("id"), 0.2)
         assert abs(split.partial_sum) < 1e-10
         assert abs(split.boundary_term - split.derivative_term) < 1e-8
 
     def test_half_square_on_cosine_independent_oracle(self):
         sys_, f = cosine_system(), get_function("half-square")
         n, x = 8, 0.5
-        split = partial_sum_by_parts(sys_, f, n, x)
+        split = partial_sum_by_parts(KernelContext(sys_, n), f, x)
 
         ks = np.arange(1, n + 1)
         phi_x = SQ2 * np.cos(2 * np.pi * ks * x)
@@ -147,15 +148,16 @@ class TestByPartsSplit:
         assert abs(split.residual) < 1e-7
 
     def test_bump_on_haar(self):
-        split = partial_sum_by_parts(haar_system(), get_function("cos-bump"),
-                                     16, 0.3)
+        split = partial_sum_by_parts(KernelContext(haar_system(), 16),
+                                     get_function("cos-bump"), 0.3)
         assert abs(split.residual) < 1e-7
 
     def test_missing_derivative(self):
         lip_only = FunctionSpec(name="corner", eval=lambda u: np.abs(
             np.asarray(u) - 0.5), deriv=None, class_tag="Lip1")
         with pytest.raises(MissingDerivative):
-            partial_sum_by_parts(haar_system(), lip_only, 4, 0.3)
+            partial_sum_by_parts(KernelContext(haar_system(), 4), lip_only,
+                                 0.3)
 
 
 class TestSummationIdentity:

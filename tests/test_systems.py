@@ -1,4 +1,4 @@
-import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -27,8 +27,7 @@ from ons_lab import (
     recommended_rule,
     system_values,
 )
-from ons_lab.systems import (SIGN_SYSTEM_K_MAX, _window_breakpoints,
-                             breakpoints_upto)
+from ons_lab.systems import SIGN_SYSTEM_K_MAX, breakpoints_upto
 
 SQ2 = np.sqrt(2.0)
 
@@ -112,34 +111,34 @@ class TestRademacher:
         with pytest.raises(OnsLabError):
             rademacher_system().breakpoints(30)
 
-    def test_windowed_breakpoints(self):
-        sys_ = rademacher_system()
-        pts = sys_.breakpoints_in(20, 0.0, 2.0 ** -18)
-        assert len(pts) == 3
-        assert all(0.0 < p < 2.0 ** -18 for p in pts)
-
     @settings(max_examples=100, deadline=None)
-    @given(k=st.integers(1, SIGN_SYSTEM_K_MAX), lo=st.floats(0.0, 1.0),
-           width=st.integers(0, 40))
-    def test_windowed_breakpoints_are_exact(self, k, lo, width):
-        # every j / 2^k strictly inside (lo, hi), each exactly; lo is
-        # scaled below 2^(52 - k), so j < 2^53 makes j / 2^k a double, and
-        # hi lies a few jumps further
-        lo = math.ldexp(lo, min(0, 52 - k))
-        hi = min(1.0, lo + width * 2.0 ** -k)
-        want = [Fraction(j, 2 ** k)
-                for j in range(math.floor(Fraction(lo) * 2 ** k),
-                               math.ceil(Fraction(hi) * 2 ** k) + 1)
-                if Fraction(lo) < Fraction(j, 2 ** k) < Fraction(hi)]
-        got = rademacher_system().breakpoints_in(k, lo, hi)
-        assert [Fraction(p) for p in got] == want
+    @given(k=st.integers(1, SIGN_SYSTEM_K_MAX))
+    def test_period_jump_and_its_pieces_are_exact(self, k):
+        # 2^(k-1) periods jumping at 2^-k; the midpoints 2^-(k+1) and
+        # 3 * 2^-(k+1) of the first period's two pieces are doubles too
+        repeats, jumps = rademacher_system().period(k)
+        assert repeats == 2 ** (k - 1)
+        assert [Fraction(p) for p in jumps] == [Fraction(1, 2 ** k)]
+        edges = np.array([0.0, *jumps, float(Fraction(1, repeats))])
+        assert [Fraction(m) for m in (edges[:-1] + edges[1:]) / 2.0] == [
+            Fraction(1, 2 ** (k + 1)), Fraction(3, 2 ** (k + 1))]
 
-    def test_windowed_breakpoints_refuse_what_doubles_cannot_hold(self):
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_period_tiles_to_the_breakpoint_list(self, k):
+        # the jumps tiled over every repetition, plus the boundaries
+        # between repetitions, are breakpoints(k) exactly
         sys_ = rademacher_system()
-        with pytest.raises(InvalidConfig, match="element 1074: jumps"):
-            sys_.breakpoints_in(1074, 0.0, 2.0 ** -1073)
-        with pytest.raises(InvalidConfig, match="are not doubles"):
-            sys_.breakpoints_in(60, 0.5, 0.5 + 2.0 ** -45)
+        repeats, jumps = sys_.period(k)
+        tiled = {Fraction(i, repeats) + Fraction(p)
+                 for i in range(repeats) for p in jumps}
+        tiled |= {Fraction(i, repeats) for i in range(1, repeats)}
+        assert [Fraction(p) for p in sys_.breakpoints(k)] == sorted(tiled)
+
+    def test_gram_without_the_period_hook_is_bitwise_equal(self):
+        sys_ = rademacher_system()
+        G = gram_matrix(sys_, 14)
+        plain = gram_matrix(replace(sys_, period=None), 14)
+        assert np.array_equal(G.view(np.int64), plain.view(np.int64))
 
     def test_inner_products_past_1024(self):
         sys_ = rademacher_system()
@@ -147,6 +146,22 @@ class TestRademacher:
         assert inner_product(sys_, 1024, 1024) == 1.0
         assert inner_product(sys_, SIGN_SYSTEM_K_MAX, SIGN_SYSTEM_K_MAX) == 1.0
         assert inner_product(sys_, 1, SIGN_SYSTEM_K_MAX) == 0.0
+
+    @pytest.mark.parametrize("k", [SIGN_SYSTEM_K_MAX + 1, 1075, 5000])
+    def test_a_large_column_index_is_not_refused(self, k):
+        # only the row element's pieces must be doubles; a column element
+        # needs its repeat count alone
+        sys_ = rademacher_system()
+        assert sys_.period(k)[0] == 2 ** (k - 1)
+        assert inner_product(sys_, 1, k) == 0.0
+        assert inner_product(sys_, k, 1) == 0.0
+
+    @pytest.mark.parametrize("j, k", [(1074, 1074), (1074, 5000),
+                                      (1075, 1075), (5000, 5000)])
+    def test_a_row_past_the_index_limit_is_refused(self, j, k):
+        # at k = 1074 the first piece's midpoint 2^-1075 is no double
+        with pytest.raises(InvalidConfig, match=f"element {j}: the pieces"):
+            inner_product(rademacher_system(), j, k)
 
 
 class TestAntiderivativeConsistency:
@@ -376,24 +391,25 @@ class TestGram:
 
 def _pairwise_step_product(system, j: int, k: int) -> float:
     """Reference step-system inner product, one pair j <= k at a time:
-    summed over the pieces of whichever element has fewer of them in the
-    common period of both (when they have one), then repeated exactly."""
-    window, count = Fraction(1), 1
-    if system.period is not None:
-        big, small = sorted((system.period(j), system.period(k)))[::-1]
-        if (big / small).denominator == 1 and (1 / big).denominator == 1:
-            window, count = big, int(1 / big)
+    summed over the pieces of whichever element has fewer of them in one
+    repetition of the element that repeats less often (when the other's
+    repeat count is a multiple of it), then repeated exactly."""
+    shape = system.period or (lambda idx: (1, system.breakpoints(idx)))
+    (rj, jumps_j), (rk, jumps_k) = shape(j), shape(k)
+    count = min(rj, rk) if max(rj, rk) % min(rj, rk) == 0 else 1
 
-    def pieces(idx: int) -> int:
-        if system.period is not None:
-            period = system.period(idx)
-            return round(window / period) * (len(_window_breakpoints(
-                system, idx, 0.0, float(period))) + 1)
-        return len(system.breakpoints(idx)) + 1
+    def pieces(repeats: int, jumps) -> int:
+        return repeats // count * (len(jumps) + 1)
 
-    coarse, fine = (j, k) if pieces(j) <= pieces(k) else (k, j)
-    edges = np.array([0.0, *_window_breakpoints(system, coarse, 0.0,
-                                                float(window)), float(window)])
+    (coarse, repeats, jumps), fine = (
+        ((j, rj, jumps_j), k) if pieces(rj, jumps_j) <= pieces(rk, jumps_k)
+        else ((k, rk, jumps_k), j))
+    # the coarse element's jumps tiled over its repetitions in the window
+    inner = {Fraction(i, repeats) + Fraction(p)
+             for i in range(repeats // count) for p in jumps}
+    inner |= {Fraction(i, repeats) for i in range(1, repeats // count)}
+    edges = np.array([0.0, *map(float, sorted(inner)),
+                      float(Fraction(1, count))])
     values = np.asarray(system.eval(coarse, (edges[:-1] + edges[1:]) / 2.0))
     one_window = float(np.dot(values, np.diff(system.antideriv(fine, edges))))
     return float(count * Fraction(one_window))
