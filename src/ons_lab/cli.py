@@ -13,6 +13,11 @@ or a config-file key it does not read, is a usage error.
 ``mn-sweep`` with the system fixed to cosine and Haar; they exit 2 when a
 point classifies as growing.
 
+The JSON ``config`` block is ``{"command": ..., <flag>: <value>, ...}``:
+every flag the command reads, in the order of its registry entry, with
+the value the run used (given or default; ``null`` for an unset optional
+flag), after the fixed ``system`` of ``theorem5`` and ``theorem6``.
+
 Exit codes: 0 on success, 1 on a usage error (unknown flag or name,
 invalid configuration) with a one-line message, 2 when a command's
 invariant check fails (for example a Gram matrix off identity beyond
@@ -68,8 +73,7 @@ class Flag:
     metavar: Optional[tuple] = None
 
 
-#: Every flag a command can read.  The order is that of the keys in the
-#: JSON ``config.extras`` block.
+#: Every flag a command can read.
 FLAGS = {
     "system": Flag(str, "system name, e.g. cosine, haar, reflect2(cosine)"),
     "function": Flag(str, "catalog function name"),
@@ -97,95 +101,70 @@ FLAGS = {
                                 "maximum classified bounded"),
 }
 
-#: Flags with an ExperimentConfig field of their own, and tolerance flags
-#: with their ``tolerances`` key; every other flag is an ``extras`` key.
-_FIELD_OF = {"system": "system", "function": "function", "x": "x_points",
-             "n_max": "n_max", "output": "output", "format": "fmt"}
-_TOLERANCE_OF = {"check_tol": "check", "halving_tol": "halving"}
-_EXTRAS = tuple(k for k in FLAGS
-                if k not in _FIELD_OF and k not in _TOLERANCE_OF)
-
-
-#: What ``system``, ``x_points`` and ``n_max`` hold when left unset by a
-#: command that does not read them.
-_UNSET_FIELDS = {"system": "cosine", "x_points": (0.3,), "n_max": 256}
-
 
 @dataclass
 class ExperimentConfig:
-    """Declarative description of one experiment run.
+    """One experiment run: a command and the value of every flag it reads.
 
-    A field, extra or tolerance given but not read by the command is an
-    error.  ``None`` leaves a field unset: a field the command reads then
-    takes its registry default, as on the command line, and one it does
-    not read the value in ``_UNSET_FIELDS``, if any.  The command's fixed
-    system overrides ``system``.  An extra left out takes its registry
-    default; ``tolerances`` holds only explicit tolerances.
+    ``values`` is keyed by flag name (``x``, ``n_max``, ``check_tol``, ...)
+    and may leave out any flag of ``REGISTRY[command].reads``: it then
+    takes the registry default.  A key the command does not read is an
+    error.  A command with a fixed system gets it as ``values["system"]``
+    and accepts that value given back, so a config's values can be copied.
     """
 
     command: str
-    system: Optional[str] = None
-    function: Optional[str] = None
-    x_points: Optional[tuple] = None
-    n_max: Optional[int] = None
-    tolerances: dict = field(default_factory=dict)
-    output: Optional[str] = None
-    fmt: str = "csv"
-    extras: dict = field(default_factory=dict)
+    values: dict = field(default_factory=dict)
 
     def __post_init__(self):
         entry = REGISTRY.get(self.command)
         if entry is None:
             raise InvalidConfig(f"command: unknown command {self.command!r}")
-        extras = [k for k in _EXTRAS if k in entry.flags]
-        unread = ({name for key, name in _FIELD_OF.items()
-                   if getattr(self, name) is not None
-                   and key not in entry.reads}
-                  | (set(self.extras) - set(extras))
-                  | ({f"{k}_tol" for k in self.tolerances} - set(entry.flags)))
+        unread = set(self.values) - set(entry.reads)
+        if entry.system and self.values.get("system") == entry.system:
+            unread.discard("system")        # the fixed system, given back
         if unread:
-            raise InvalidConfig(f"{min(unread)}: not a field, extra or "
-                                f"tolerance that {self.command} reads")
-        for key, name in _FIELD_OF.items():
-            if getattr(self, name) is None:
-                setattr(self, name,
-                        entry.reads.get(key, _UNSET_FIELDS.get(name)))
-        if entry.system is not None:
-            self.system = entry.system
-        merged = {**entry.flags, **self.extras}
-        self.extras = {k: merged[k] for k in extras if merged[k] is not None}
-        if self.fmt not in ("csv", "json"):
-            raise InvalidConfig(f"format: must be csv or json, got {self.fmt!r}")
-        if not self.x_points:
-            raise InvalidConfig("x_points: needs at least one point")
-        for x in self.x_points:
+            raise InvalidConfig(f"{min(unread)}: not a flag that "
+                                f"{self.command} reads")
+        fixed = {} if entry.system is None else {"system": entry.system}
+        self.values = values = {**fixed, **entry.reads, **self.values}
+        if values["format"] not in ("csv", "json"):
+            raise InvalidConfig(f"format: must be csv or json, got "
+                                f"{values['format']!r}")
+        if "x" in values and not values["x"]:
+            raise InvalidConfig("x: needs at least one point")
+        for x in values.get("x", ()):
             if not 0.0 <= float(x) <= 1.0:
-                raise InvalidConfig(f"x_points: value {x} outside [0, 1]")
-        if "n_values" in self.extras and not self.extras["n_values"]:
+                raise InvalidConfig(f"x: value {x} outside [0, 1]")
+        if "n_values" in values and not values["n_values"]:
             raise InvalidConfig("n_values: needs at least one index")
-        if self.n_max < 1:
-            raise InvalidConfig(f"n_max: must be >= 1, got {self.n_max}")
+        sizes = [(k, values[k]) for k in ("n", "n_max") if k in values]
+        sizes += [("n_values", n) for n in values.get("n_values", ())]
+        for key, n in sizes:
+            if n < 1:
+                raise InvalidConfig(f"{key}: must be >= 1, got {n}")
 
 
-def _fmt_cell(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (float, np.floating)):
-        return f"{float(v):.17g}"
-    return str(v)
+#: CSV text of a value by its column's numpy dtype kind: true/false,
+#: floats to 17 significant digits, anything else str.
+_CELL = {"b": lambda v: "true" if v else "false", "f": "%.17g".__mod__}
+#: Rows formatted at a time: whole columns would hold the text of every
+#: cell next to the output buffer (4 MB more peak RSS on a 16k-row sweep).
+_CSV_BLOCK = 256
 
 
 def _render(config: ExperimentConfig, header, rows, summary) -> str:
-    if config.fmt == "csv":
+    if config.values["format"] == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt_cell(v) for v in row])
+        for start in range(0, len(rows), _CSV_BLOCK):
+            columns = map(np.asarray, zip(*rows[start:start + _CSV_BLOCK]))
+            writer.writerows(zip(*(map(_CELL.get(c.dtype.kind, str),
+                                       c.tolist()) for c in columns)))
         return buf.getvalue()
     payload = {
-        "config": {("format" if k == "fmt" else k): v
-                   for k, v in vars(config).items()},
+        "config": {"command": config.command, **config.values},
         "rows": [dict(zip(header, row)) for row in rows],
         "summary": summary,
     }
@@ -195,9 +174,10 @@ def _render(config: ExperimentConfig, header, rows, summary) -> str:
 
 def _emit(config: ExperimentConfig, header, rows, summary) -> None:
     text = _render(config, header, rows, summary)
-    if config.output:
+    output = config.values["output"]
+    if output:
         try:
-            with open(config.output, "w", newline="") as fh:
+            with open(output, "w", newline="") as fh:
                 fh.write(text)
         except OSError as exc:
             raise InvalidConfig(f"output: {exc}") from None
@@ -205,15 +185,9 @@ def _emit(config: ExperimentConfig, header, rows, summary) -> None:
         sys.stdout.write(text)
 
 
-def _tolerance(config: ExperimentConfig, name: str):
-    """The tolerance given for ``name``, else the command's default."""
-    return config.tolerances.get(
-        name, REGISTRY[config.command].flags[f"{name}_tol"])
-
-
 def _thresholds(config: ExperimentConfig) -> ClassificationThresholds:
     return ClassificationThresholds(
-        **{k: config.extras[k] for k in _THRESHOLDS})
+        **{k: config.values[k] for k in _THRESHOLDS})
 
 
 def _report_summary(report) -> dict:
@@ -247,60 +221,61 @@ def _require_cl(spec):
 # ---------------------------------------------------------------------------
 
 def _run_gram(config: ExperimentConfig):
-    system = systems.get_system(config.system)
-    n = config.extras["n"]
-    tol = _tolerance(config, "check")
+    system = systems.get_system(config.values["system"])
+    n = config.values["n"]
+    tol = config.values["check_tol"]
     if tol is None:
         tol = _GRAM_TOL[system.piecewise_constant]
     matrix = systems.gram_matrix(system, n)
     err = float(np.abs(matrix - np.eye(n)).max())
-    rows = [(j + 1, k + 1, matrix[j, k]) for j in range(n) for k in range(n)]
+    rows = [(j, k, v) for j, row in enumerate(matrix.tolist(), start=1)
+            for k, v in enumerate(row, start=1)]
     summary = {"system": system.name, "n": n, "max_abs_error": err,
                "tolerance": tol, "pass": err <= tol}
     return rows, summary, (0 if err <= tol else 2)
 
 
 def _run_bessel(config: ExperimentConfig):
-    names = (CATALOG_SYSTEMS if config.system == "all"
-             else (config.system,))
-    points = config.extras["points"]
+    names = (CATALOG_SYSTEMS if config.values["system"] == "all"
+             else (config.values["system"],))
+    points = config.values["points"]
     if points < 1:
         raise InvalidConfig(f"points: the square-sum scan needs points >= 1, "
                             f"got {points}")
-    tol = _tolerance(config, "check")
+    tol, n_max = config.values["check_tol"], config.values["n_max"]
     us = np.linspace(0.0, 1.0, points)
     rows, worst = [], -np.inf
     for name in names:
         system = systems.get_system(name)
-        sums = kernels.antiderivative_square_sum(system, config.n_max, us)
+        sums = kernels.antiderivative_square_sum(system, n_max, us)
         worst = max(worst, float(sums.max()))
         rows.extend((name, float(u), float(s)) for u, s in zip(us, sums))
     ok = worst <= 1.0 + tol
-    summary = {"n_max": config.n_max, "max_square_sum": worst,
+    summary = {"n_max": n_max, "max_square_sum": worst,
                "bound": 1.0 + tol, "pass": ok}
     return rows, summary, (0 if ok else 2)
 
 
 def _run_lemma1(config: ExperimentConfig):
-    system = systems.get_system(config.system)
+    system = systems.get_system(config.values["system"])
     th = _thresholds(config)
     rows, summary = _sweep_rows(
-        (x, analysis.square_sum_ratio(system, x, config.n_max, th))
-        for x in config.x_points)
+        (x, analysis.square_sum_ratio(system, x, config.values["n_max"], th))
+        for x in config.values["x"])
     return rows, summary, 0
 
 
 def _run_lemma3(config: ExperimentConfig):
-    system = systems.get_system(config.system)
-    tol = _tolerance(config, "check")
+    system = systems.get_system(config.values["system"])
+    tol = config.values["check_tol"]
     contexts = [kernels.KernelContext(system, n)
-                for n in config.extras["n_values"]]
+                for n in config.values["n_values"]]
     for ctx in contexts:
         ctx.rule            # an index the rule cannot be built for fails now
     rows, worst = [], -np.inf
     for ctx in contexts:
         n = ctx.n
-        for x in config.x_points:
+        for x in config.values["x"]:
             phi = systems.system_values(system, n, x)
             rhs = float(np.sqrt((phi ** 2).sum()) / n)
             for i in range(1, n + 1):
@@ -313,14 +288,14 @@ def _run_lemma3(config: ExperimentConfig):
 
 
 def _run_lemma4(config: ExperimentConfig):
-    system = systems.get_system(config.system)
-    f = _require_cl(systems.get_function(config.function))
-    n = config.extras["n"]
-    tol = _tolerance(config, "check")
+    system = systems.get_system(config.values["system"])
+    f = _require_cl(systems.get_function(config.values["function"]))
+    n = config.values["n"]
+    tol = config.values["check_tol"]
     table = fourier.coefficients(system, f, n)
     ctx = kernels.KernelContext(system, n)
     rows, worst = [], 0.0
-    for x in config.x_points:
+    for x in config.values["x"]:
         split = fourier.partial_sum_by_parts(ctx, f, x, table=table)
         worst = max(worst, abs(split.residual))
         rows.append((float(x), split.partial_sum, split.boundary_term,
@@ -332,10 +307,10 @@ def _run_lemma4(config: ExperimentConfig):
 
 
 def _run_eq11(config: ExperimentConfig):
-    f = systems.get_function(config.function)
+    f = systems.get_function(config.values["function"])
     if f.deriv is None:
         raise InvalidConfig(f"function: {f.name!r} has no derivative")
-    kernel_spec = config.extras.get("big_f_kernel")
+    kernel_spec = config.values["big_f_kernel"]
     if kernel_spec is not None:
         sys_name, k_n, k_x = kernel_spec
         try:
@@ -346,12 +321,12 @@ def _run_eq11(config: ExperimentConfig):
         big_f = fourier.kernel_section(systems.get_system(sys_name), k_n, k_x)
         big_f_name = f"kernel[{sys_name}, n={k_n}, x={k_x:g}]"
     else:
-        spec = systems.get_function(config.extras["big_f"])
+        spec = systems.get_function(config.values["big_f"])
         big_f, big_f_name = spec, spec.name
-    selected = config.extras["eq11_upper"]
+    selected = config.values["eq11_upper"]
     rows = []
     worst_sel = 0.0
-    for n in config.extras["n_values"]:
+    for n in config.values["n_values"]:
         full = fourier.summation_identity(f, big_f, n, "n")
         printed = fourier.summation_identity(f, big_f, n, "n-1")
         sel_res = printed.residual if selected == "n-1" else full.residual
@@ -368,46 +343,50 @@ def _run_eq11(config: ExperimentConfig):
 
 
 def _run_mn_sweep(config: ExperimentConfig):
-    system = systems.get_system(config.system)
-    reports = analysis.boundedness_experiment(system, config.x_points,
-                                              config.n_max, _thresholds(config))
+    system = systems.get_system(config.values["system"])
+    reports = analysis.boundedness_experiment(
+        system, config.values["x"], config.values["n_max"],
+        _thresholds(config))
     rows, summary = _sweep_rows(reports.items())
     if REGISTRY[config.command].system is None:
         return rows, summary, 0
     # theorem5 and theorem6 claim M_n(x) bounded for their fixed system
     ok = all(rep.classification != "growing" for rep in reports.values())
-    return rows, {"system": config.system, **summary}, (0 if ok else 2)
+    return rows, {"system": system.name, **summary}, (0 if ok else 2)
 
 
 def _run_partial_sums(config: ExperimentConfig):
-    system = systems.get_system(config.system)
-    f = systems.get_function(config.function)
-    table = fourier.coefficients(system, f, config.n_max)
+    system = systems.get_system(config.values["system"])
+    f = systems.get_function(config.values["function"])
+    n_max = config.values["n_max"]
+    table = fourier.coefficients(system, f, n_max)
     rows = []
-    for x in config.x_points:
+    for x in config.values["x"]:
         sums = fourier.partial_sum_sweep(table, x)
         rows.extend((float(x), n, s) for n, s in enumerate(sums, start=1))
-    summary = {"system": system.name, "function": f.name, "n_max": config.n_max}
+    summary = {"system": system.name, "function": f.name, "n_max": n_max}
     return rows, summary, 0
 
 
 def _run_e_phi(config: ExperimentConfig):
-    system = systems.get_system(config.system)
-    f = systems.get_function(config.function)
-    table = fourier.coefficients(system, f, config.n_max)
+    system = systems.get_system(config.values["system"])
+    f = systems.get_function(config.values["function"])
+    n_max = config.values["n_max"]
+    table = fourier.coefficients(system, f, n_max)
     th = _thresholds(config)
     rows, summary = _sweep_rows(
-        (x, analysis.partial_sum_boundedness(system, f, x, config.n_max,
+        (x, analysis.partial_sum_boundedness(system, f, x, n_max,
                                              table=table, thresholds=th))
-        for x in config.x_points)
+        for x in config.values["x"])
     return rows, summary, 0
 
 
 def _run_theorem2(config: ExperimentConfig):
-    system = systems.get_system(config.system)
-    f = _require_cl(systems.get_function(config.function))
-    cases = analysis.boundedness_transfer(system, f, config.x_points,
-                                          config.n_max, _thresholds(config))
+    system = systems.get_system(config.values["system"])
+    f = _require_cl(systems.get_function(config.values["function"]))
+    cases = analysis.boundedness_transfer(
+        system, f, config.values["x"], config.values["n_max"],
+        _thresholds(config))
     rows = [(c.x,
              c.constant_report.classification,
              c.identity_report.classification,
@@ -421,12 +400,12 @@ def _run_theorem2(config: ExperimentConfig):
 
 
 def _run_theorem3_extremal(config: ExperimentConfig):
-    system = systems.get_system(config.system)
-    t = config.extras["t"]
-    grid_size = config.extras["grid_size"]
-    tol = _tolerance(config, "check")
+    system = systems.get_system(config.values["system"])
+    t = config.values["t"]
+    grid_size = config.values["grid_size"]
+    tol = config.values["check_tol"]
     triples, report = analysis.extremal_pairing_sweep(
-        system, t, config.extras["n_values"], grid_size, _thresholds(config))
+        system, t, config.values["n_values"], grid_size, _thresholds(config))
     rows, worst_split, worst_lip = [], 0.0, 0.0
     for n, f_n, split in triples:
         lip = systems.lipschitz_quotient(f_n.eval, samples=grid_size + 1)
@@ -446,12 +425,12 @@ def _run_theorem3_extremal(config: ExperimentConfig):
 
 
 def _run_theorem4_moments(config: ExperimentConfig):
-    base = systems.get_system(config.extras["base"])
+    base = systems.get_system(config.values["base"])
     once = systems.compress_reflect(base)
     twice = systems.compress_reflect(once)
-    n_top = config.extras["n"]
-    tol = _tolerance(config, "check")
-    halving_tol = _tolerance(config, "halving")
+    n_top = config.values["n"]
+    tol = config.values["check_tol"]
+    halving_tol = config.values["halving_tol"]
 
     one = systems.get_function("one")
     ident = systems.get_function("id")
@@ -643,20 +622,11 @@ def _read_config_file(path: str, command: str) -> dict:
 
 
 def config_from_namespace(ns: argparse.Namespace) -> ExperimentConfig:
-    entry = REGISTRY[ns.command]
-    given = (_read_config_file(ns.config, ns.command)
-             if getattr(ns, "config", None) else {})
-    given.update((k, v) for k, v in vars(ns).items()
-                 if k not in ("command", "config"))
-    values = {**entry.reads, **given}
-    return ExperimentConfig(
-        command=ns.command,
-        **{name: values[key] for key, name in _FIELD_OF.items()
-           if key in values},
-        tolerances={name: given[key] for key, name in _TOLERANCE_OF.items()
-                    if key in given},
-        extras={k: v for k, v in given.items() if k in _EXTRAS},
-    )
+    values = (_read_config_file(ns.config, ns.command)
+              if getattr(ns, "config", None) else {})
+    values.update((k, v) for k, v in vars(ns).items()
+                  if k not in ("command", "config"))
+    return ExperimentConfig(ns.command, values)
 
 
 def main(argv=None) -> int:

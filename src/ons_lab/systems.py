@@ -523,7 +523,8 @@ def _check_x(x: float, name: str = "x") -> None:
         raise InvalidConfig(f"{name} must lie in [0, 1], got {x}")
 
 
-def _step_gram_row(system: SystemHandle, j: int, ks) -> np.ndarray:
+def _step_gram_row(system: SystemHandle, j: int, ks,
+                   repeats_k=None) -> np.ndarray:
     """Exact inner products of element j with elements ``ks`` (each >= j) of
     a piecewise-constant system.
 
@@ -533,10 +534,14 @@ def _step_gram_row(system: SystemHandle, j: int, ks) -> np.ndarray:
     every ``k`` a multiple of that many, each k repeats whole inside one
     repetition of j, so the sum runs over that repetition and is scaled
     by ``repeats``: sign-system rows with ~2**j jumps stay two pieces wide.
+    ``repeats_k`` holds the hook's repeat counts of ``ks`` when the caller
+    has them; they are Python ints, as they pass 2**1072.
     """
     ks = np.asarray(ks, dtype=np.int64)
     repeats, jumps = (1, None) if system.period is None else system.period(j)
-    if jumps is None or any(system.period(k)[0] % repeats for k in ks.tolist()):
+    if jumps is not None and repeats_k is None:
+        repeats_k = [system.period(k)[0] for k in ks.tolist()]
+    if jumps is None or any(r % repeats for r in repeats_k):
         repeats, jumps = 1, system.breakpoints(j)
     # 1 / repeats as a Fraction: 1.0 / 2^1072 overflows the divisor
     edges = np.array([0.0, *jumps, float(Fraction(1, repeats))])
@@ -568,10 +573,14 @@ def gram_matrix(system: SystemHandle, n: int) -> np.ndarray:
     if n < 1:
         raise InvalidConfig(f"n: Gram matrix needs n >= 1, got {n}")
     if system.exact_steps:
+        # each element's repeat count once, not once per (row, column) pair
+        repeats = (None if system.period is None
+                   else [system.period(k)[0] for k in range(1, n + 1)])
         out = np.empty((n, n))
         for j in range(1, n + 1):
             out[j - 1, j - 1:] = out[j - 1:, j - 1] = _step_gram_row(
-                system, j, np.arange(j, n + 1))
+                system, j, np.arange(j, n + 1),
+                None if repeats is None else repeats[j - 1:])
         return out
     rule = recommended_rule(system, n)
     nodes, weights, _ = cell_mesh((0.0, 1.0), rule, 2 * rule.panels)

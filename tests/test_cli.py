@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -59,7 +60,8 @@ class TestExitCodes:
         code, _ = run_cli(["mn-sweep", "--system", "haar", "--x", "1.5",
                            "--n-max", "8"], tmp_path)
         assert code == 1
-        assert "x_points" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "ons-lab: error: x: value 1.5 outside [0, 1]\n")
 
     @pytest.mark.parametrize("command",
                              ["mn-sweep", "theorem2", "theorem5", "theorem6"])
@@ -72,18 +74,16 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("args,key", [
         (["gram", "--n", "0"], "n"),
-        (["lemma3", "--n-values", "0"], "n"),
         (["eq11", "--n-values", "1"], "n"),
         (["theorem3-extremal", "--grid-size", "8"], "grid_size"),
-        (["lemma4", "--n", "0"], "n_max"),
         (["bessel", "--points", "0"], "points"),
         (["theorem3-extremal", "--n-values", ","], "n_values"),
         (["lemma3", "--n-values", ","], "n_values"),
         (["eq11", "--n-values", ","], "n_values"),
-        (["mn-sweep", "--x", ","], "x_points"),
-        (["theorem5", "--x", ","], "x_points"),
-        (["lemma1", "--x", ","], "x_points"),
-        (["lemma4", "--x", ","], "x_points"),
+        (["mn-sweep", "--x", ","], "x"),
+        (["theorem5", "--x", ","], "x"),
+        (["lemma1", "--x", ","], "x"),
+        (["lemma4", "--x", ","], "x"),
     ], ids=lambda v: "_".join(v) if isinstance(v, list) else v)
     def test_invalid_sizes_are_one_line_usage_errors(self, args, key,
                                                      tmp_path, capsys):
@@ -92,6 +92,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"ons-lab: error: {key}: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("args,message", [
+        (["lemma4", "--n", "0"], "n: must be >= 1, got 0"),
+        (["theorem4-moments", "--n", "0"], "n: must be >= 1, got 0"),
+        (["lemma3", "--n-values", "0"], "n_values: must be >= 1, got 0"),
+        (["theorem3-extremal", "--n-values", "0"],
+         "n_values: must be >= 1, got 0"),
+    ], ids=["lemma4", "theorem4-moments", "lemma3", "theorem3-extremal"])
+    def test_size_errors_name_the_flag_given(self, args, message, tmp_path,
+                                             capsys):
+        code, path = run_cli(args, tmp_path)
+        assert code == 1 and not path.exists()
+        assert capsys.readouterr().err == f"ons-lab: error: {message}\n"
 
     @pytest.mark.parametrize("args,name", [
         (["theorem3-extremal", "--t", "2"], "t"),
@@ -155,6 +168,28 @@ class TestOutputFormats:
             assert float(x) == 0.3            # 17 digits round-trip
             assert float(m_n) <= float(running_max)
 
+    def test_csv_cells_are_the_json_values_to_17_digits(self, tmp_path):
+        # 299 rows: more than one block of rows is formatted
+        args = ["mn-sweep", "--system", "haar", "--x", "0.3", "--n-max", "300"]
+        _, csv_path = run_cli(args, tmp_path, "a.csv")
+        _, json_path = run_cli([*args, "--format", "json"], tmp_path, "b")
+        rows = json.loads(json_path.read_text())["rows"]
+        assert len(rows) == 299
+        assert csv_path.read_text().splitlines()[1:] == [
+            f"{r['x']:.17g},{r['n']},{r['m_n']:.17g},{r['running_max']:.17g}"
+            for r in rows]
+        assert rows[0]["x"] == 0.3
+
+    def test_csv_booleans_are_lowercase(self, tmp_path):
+        code, path = run_cli(["theorem2", "--system", "haar", "--x", "0.3",
+                              "--n-max", "64"], tmp_path)
+        assert code == 0
+        x, *classes, hyp, concl, consistent = (
+            path.read_text().splitlines()[1].split(","))
+        assert x == "0.29999999999999999"
+        assert {hyp, concl, consistent} <= {"true", "false"}
+        assert consistent == "true"
+
     def test_json_top_level_shape(self, tmp_path):
         code, path = run_cli(["mn-sweep", "--system", "haar", "--x", "0.3",
                               "--n-max", "32", "--format", "json"], tmp_path)
@@ -187,18 +222,18 @@ class TestConfigFile:
         parser = build_parser()
         ns = parser.parse_args(["mn-sweep", "--config", str(cfg),
                                 "--n-max", "16"])
-        config = config_from_namespace(ns)
-        assert config.system == "haar"       # from file
-        assert config.n_max == 16            # flag wins
-        assert config.x_points == (0.5,)     # from file
-        assert config.fmt == "csv"           # default
+        values = config_from_namespace(ns).values
+        assert values["system"] == "haar"    # from file
+        assert values["n_max"] == 16         # flag wins
+        assert values["x"] == (0.5,)         # from file
+        assert values["format"] == "csv"     # default
 
     def test_dashed_keys_accepted(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# comment line\nn-max=8\n")
         ns = build_parser().parse_args(["mn-sweep", "--system", "haar",
                                         "--config", str(cfg)])
-        assert config_from_namespace(ns).n_max == 8
+        assert config_from_namespace(ns).values["n_max"] == 8
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -367,60 +402,75 @@ class TestConfigObject:
             assert {"output", "format"} <= set(entry.reads) <= set(FLAGS)
             assert entry.system is None or "system" not in entry.flags
 
-    def test_extras_get_registry_defaults_and_nothing_else(self):
-        config = ExperimentConfig(command="theorem3-extremal",
-                                  extras={"t": 0.5})
-        assert config.extras == {"n_values": (4, 8, 16), "t": 0.5,
-                                 "grid_size": 1024, "slope_bounded": 0.05,
-                                 "slope_growing": 0.5, "plateau_rise": 0.01}
-        assert ExperimentConfig(command="gram").extras == {"n": 8}
+    def test_values_get_registry_defaults_and_nothing_else(self):
+        config = ExperimentConfig("theorem3-extremal", {"t": 0.5})
+        assert config.values == {
+            "system": "cosine", "t": 0.5, "n_values": (4, 8, 16),
+            "grid_size": 1024, "check_tol": 1e-5, "slope_bounded": 0.05,
+            "slope_growing": 0.5, "plateau_rise": 0.01, "output": None,
+            "format": "csv"}
+        assert ExperimentConfig("gram").values == {
+            "system": "cosine", "n": 8, "check_tol": None, "output": None,
+            "format": "csv"}
 
-    @pytest.mark.parametrize("extras,tolerances", [
-        ({"n": 4}, {}), ({}, {"halving": 1e-3}), ({"check_tol": 1.0}, {}),
-        ({"system": "haar"}, {})])
-    def test_rejects_keys_the_command_does_not_read(self, extras, tolerances):
-        with pytest.raises(InvalidConfig, match="that mn-sweep reads"):
-            ExperimentConfig(command="mn-sweep", extras=extras,
-                             tolerances=tolerances)
+    @pytest.mark.parametrize("values", [
+        {"n": 4}, {"halving_tol": 1e-3}, {"check_tol": 1.0},
+        {"x_points": (0.5,)}, {"function": "one"}],
+        ids=lambda v: next(iter(v)))
+    def test_rejects_keys_the_command_does_not_read(self, values):
+        key = next(iter(values))
+        with pytest.raises(InvalidConfig,
+                           match=f"^{key}: not a flag that mn-sweep reads$"):
+            ExperimentConfig("mn-sweep", values)
 
     @pytest.mark.parametrize("command,system",
                              [("theorem5", "cosine"), ("theorem6", "haar")])
     def test_theorem_sweeps_fix_their_system(self, command, system):
-        assert ExperimentConfig(command=command).system == system
+        config = ExperimentConfig(command)
+        assert config.values["system"] == system
+        assert replace(config) == config
         with pytest.raises(InvalidConfig, match=f"system: .* {command} reads"):
-            ExperimentConfig(command=command, system="rademacher")
+            ExperimentConfig(command, {"system": "rademacher"})
 
     @pytest.mark.parametrize("command,fields", [
-        ("eq11", {"system": "haar"}), ("eq11", {"x_points": (0.9,)}),
+        ("eq11", {"system": "haar"}), ("eq11", {"x": (0.9,)}),
         ("eq11", {"n_max": 3}), ("gram", {"function": "one"}),
-        ("gram", {"n_max": 3}), ("theorem4-moments", {"x_points": (0.5,)})])
+        ("gram", {"n_max": 3}), ("theorem4-moments", {"x": (0.5,)})])
     def test_rejects_given_fields_the_command_does_not_read(self, command,
                                                              fields):
         name = next(iter(fields))
         with pytest.raises(InvalidConfig,
                            match=f"^{name}: .* that {command} reads$"):
-            ExperimentConfig(command=command, **fields)
+            ExperimentConfig(command, fields)
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_unset_fields_take_the_command_line_defaults(self, command):
-        api = ExperimentConfig(command=command)
+        api = ExperimentConfig(command)
         cli = config_from_namespace(build_parser().parse_args([command]))
         assert vars(api) == vars(cli)
 
-    def test_unset_fields_echo_the_old_defaults(self, capsys):
-        config = ExperimentConfig(command="eq11", extras={"n_values": (2,)},
-                                  fmt="json")
-        assert (config.system, config.x_points, config.n_max,
-                config.function) == ("cosine", (0.3,), 256, "half-square")
-        assert run(config) == 0
-        echoed = json.loads(capsys.readouterr().out)["config"]
-        assert (echoed["system"], echoed["x_points"], echoed["n_max"]) == (
-            "cosine", [0.3], 256)
-        assert ExperimentConfig(command="gram").function is None
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_json_config_holds_the_flags_the_command_reads(self, command,
+                                                            tmp_path):
+        entry = REGISTRY[command]
+        small = {k: v for k, v in (("n_max", "8"), ("n", "4"),
+                                   ("n_values", "4"), ("points", "5"))
+                 if k in entry.reads}
+        argv = [command, "--format", "json"]
+        for key, value in small.items():
+            argv += ["--" + key.replace("_", "-"), value]
+        code, path = run_cli(argv, tmp_path)
+        assert code == 0
+        config = json.loads(path.read_text())["config"]
+        fixed = [] if entry.system is None else ["system"]
+        assert list(config) == ["command", *fixed, *entry.reads]
+        assert config["command"] == command
+        assert config["output"] == str(path) and config["format"] == "json"
+        for key, value in small.items():
+            assert config[key] in (int(value), [int(value)])
 
     def test_run_api_directly(self, tmp_path, capsys):
-        config = ExperimentConfig(command="gram", system="haar",
-                                  extras={"n": 4})
+        config = ExperimentConfig("gram", {"system": "haar", "n": 4})
         assert run(config) == 0
         assert capsys.readouterr().out.startswith("j,k,value")
 
@@ -430,7 +480,7 @@ class TestConfigObject:
 
     def test_rejects_bad_format(self):
         with pytest.raises(InvalidConfig):
-            ExperimentConfig(command="gram", fmt="xml")
+            ExperimentConfig("gram", {"format": "xml"})
 
 
 # ---------------------------------------------------------------------------
@@ -524,10 +574,10 @@ class TestUsageErrors:
             cfg.write_text("".join(f"{key}={' '.join(SAMPLE[key])}\n"
                                    for key in entry.reads))
             ns = build_parser().parse_args([command, "--config", str(cfg)])
-            config = config_from_namespace(ns)
-            assert config.fmt == "json"
+            values = config_from_namespace(ns).values
+            assert values["format"] == "json"
             if "big_f_kernel" in entry.reads:
-                assert config.extras["big_f_kernel"] == ("cosine", "4", "0.3")
+                assert values["big_f_kernel"] == ("cosine", "4", "0.3")
 
     @pytest.mark.parametrize("line", ["eq11_upper=n-2", "format=xml",
                                       "big_f_kernel=cosine 4", "n_values=a"])
