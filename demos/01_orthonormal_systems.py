@@ -15,7 +15,9 @@ haar = get_system("haar")
 
 print("cosine element 1 at u=0:", cosine.eval(1, 0.0))
 print("haar element 2 on the two halves:", haar.eval(2, 0.25), haar.eval(2, 0.75))
-print("haar element 5 support jumps:", haar.breakpoints(5))
+# period(k) is (repeats, jumps); a Haar element does not repeat, so its
+# jumps are the whole list
+print("haar element 5 support jumps:", haar.period(5)[1])
 
 # Antiderivatives are closed-form for every shipped system; the dyadic
 # step elements integrate to tents that peak at their support midpoints.

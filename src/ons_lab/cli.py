@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -158,8 +159,9 @@ def _render(config: ExperimentConfig, header, rows, summary) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(header)
-        for start in range(0, len(rows), _CSV_BLOCK):
-            columns = map(np.asarray, zip(*rows[start:start + _CSV_BLOCK]))
+        rows = iter(rows)
+        while block := list(itertools.islice(rows, _CSV_BLOCK)):
+            columns = map(np.asarray, zip(*block))
             writer.writerows(zip(*(map(_CELL.get(c.dtype.kind, str),
                                        c.tolist()) for c in columns)))
         return buf.getvalue()
@@ -228,8 +230,9 @@ def _run_gram(config: ExperimentConfig):
         tol = _GRAM_TOL[system.piecewise_constant]
     matrix = systems.gram_matrix(system, n)
     err = float(np.abs(matrix - np.eye(n)).max())
-    rows = [(j, k, v) for j, row in enumerate(matrix.tolist(), start=1)
-            for k, v in enumerate(row, start=1)]
+    # rows made as they are written: n^2 tuples outweigh the matrix
+    rows = ((j, k, v) for j, row in enumerate(matrix, start=1)
+            for k, v in enumerate(row.tolist(), start=1))
     summary = {"system": system.name, "n": n, "max_abs_error": err,
                "tolerance": tol, "pass": err <= tol}
     return rows, summary, (0 if err <= tol else 2)

@@ -79,21 +79,20 @@ class QuadratureRule:
             raise ValueError("order must be >= 2")
         if self.panels < 1:
             raise ValueError("panels must be >= 1")
-        pts = tuple(float(p) for p in self.breakpoints)
-        if any(b <= a for a, b in zip(pts, pts[1:])):
+        # each test asks for what must hold, so a NaN (false in every
+        # comparison) fails it
+        pts = np.asarray(self.breakpoints, dtype=float)
+        if not np.all(pts[1:] > pts[:-1]):
             raise ValueError("breakpoints must be strictly increasing")
-        if pts and (pts[0] < 0.0 or pts[-1] > 1.0):
+        if not np.all((pts >= 0.0) & (pts <= 1.0)):
             raise ValueError("breakpoints must lie within [0, 1]")
-        object.__setattr__(self, "breakpoints", pts)
+        object.__setattr__(self, "breakpoints", tuple(pts.tolist()))
 
     def with_breakpoints(self, extra: Iterable[float]) -> "QuadratureRule":
         """Return a copy whose breakpoint set also contains ``extra``."""
-        merged = np.unique(np.concatenate([
-            np.asarray(self.breakpoints, dtype=float),
-            np.asarray(list(extra), dtype=float),
-        ]))
-        merged = merged[(merged >= 0.0) & (merged <= 1.0)]
-        return dataclasses.replace(self, breakpoints=tuple(merged))
+        merged = np.unique(np.concatenate((self.breakpoints, list(extra))))
+        return dataclasses.replace(
+            self, breakpoints=merged[(merged >= 0.0) & (merged <= 1.0)])
 
 
 @dataclass(frozen=True)

@@ -26,9 +26,8 @@ from .quadrature import QuadratureRule, cell_mesh, integrate
 
 SQRT2 = np.sqrt(2.0)
 
-#: Largest index for which a sign-system breakpoint list is enumerated
-#: (2**k - 1 entries); beyond this only the period hook describes the jumps.
-SIGN_SYSTEM_BP_MAX = 16
+#: Most jumps a repeating element is listed with: sign-system element 16's.
+MAX_LISTED_JUMPS = 2 ** 16 - 1
 
 #: Largest sign-system index whose first-period jump 2^-k, and the midpoints
 #: on either side of it, are doubles (the smallest positive double is
@@ -54,20 +53,18 @@ class SystemHandle:
         ``(k, u) -> value`` of the k-th element.
     antideriv : callable or None
         Closed-form ``int_0^u`` of the k-th element, when known.
-    breakpoints : callable
-        ``k -> tuple`` of interior discontinuity points of element k.
     piecewise_constant : bool
         True when every element is a step function between its breakpoints;
         :func:`recommended_rule` then lays 2 panels per breakpoint segment
         instead of ``max(4, k_max)``.
     antideriv2 : callable or None
         Closed-form second antiderivative ``int_0^u int_0^t``, when known.
-    period : callable or None
-        ``k -> (repeats, jumps)`` for a step system whose element k repeats
-        an integer ``repeats`` times on [0, 1]; ``jumps`` are its
-        breakpoints inside the first repetition, ``(0, 1 / repeats)``.  An
-        exact Gram row then sums over one repetition of its first element,
-        so it also serves elements with too many jumps to list.
+    period : callable
+        ``k -> (repeats, jumps)``: element k repeats an integer ``repeats``
+        times on [0, 1]; it jumps at ``jumps`` inside the first repetition
+        and at the boundaries between repetitions.  ``(1, ())`` by default.
+        :func:`element_breakpoints` lists every jump; an exact Gram row sums
+        over one repetition, so it also serves elements with too many.
     antideriv2_cos : callable or None
         ``k -> c_k``, set when ``antideriv2(k, u) = c_k * (1 - cos(2 pi k u))``;
         prefix integrals on the mesh ``i/n`` are then one length-n DFT.
@@ -76,10 +73,9 @@ class SystemHandle:
     name: str
     eval: Callable
     antideriv: Optional[Callable]
-    breakpoints: Callable[[int], tuple]
     piecewise_constant: bool = False
     antideriv2: Optional[Callable] = None
-    period: Optional[Callable[[int], tuple]] = None
+    period: Callable[[int], tuple] = lambda k: (1, ())
     antideriv2_cos: Optional[Callable] = None
 
     @property
@@ -152,7 +148,6 @@ def cosine_system() -> SystemHandle:
         name="cosine",
         eval=_cosine_eval,
         antideriv=_cosine_antideriv,
-        breakpoints=lambda k: (),
         antideriv2=_cosine_antideriv2,
         antideriv2_cos=_cosine_antideriv2_coeff,
     )
@@ -207,11 +202,11 @@ def _haar_antideriv2(k, u):
     return np.where(k == 1, 0.5 * u * u, tent)
 
 
-def _haar_breakpoints(k: int) -> tuple:
-    if k == 1:
-        return ()
-    a, b, c, _ = _haar_params(np.array([k], dtype=np.int64))
-    return tuple(p for p in (float(a[0]), float(c[0]), float(b[0])) if 0.0 < p < 1.0)
+def _haar_period(k: int) -> tuple:
+    # no repeats: the support's ends and midpoint inside (0, 1); k = 1,
+    # whose block data is a = 0, c = 1, b = 2, has none
+    a, b, c, _ = _haar_params(np.int64(k))
+    return 1, tuple(float(p) for p in (a, c, b) if 0.0 < p < 1.0)
 
 
 def haar_system() -> SystemHandle:
@@ -220,9 +215,9 @@ def haar_system() -> SystemHandle:
         name="haar",
         eval=_haar_eval,
         antideriv=_haar_antideriv,
-        breakpoints=_haar_breakpoints,
         piecewise_constant=True,
         antideriv2=_haar_antideriv2,
+        period=_haar_period,
     )
 
 
@@ -262,15 +257,6 @@ def _rademacher_antideriv2(k, u):
     return np.ldexp(u - y, -1 - k) + within
 
 
-def _rademacher_breakpoints(k: int) -> tuple:
-    if k > SIGN_SYSTEM_BP_MAX:
-        raise OnsLabError(
-            f"sign system element {k} has {2 ** k - 1} jumps; breakpoint "
-            f"lists stop at k = {SIGN_SYSTEM_BP_MAX}")
-    denom = 1 << k
-    return tuple(np.arange(1, denom) / denom)
-
-
 def _rademacher_period(k: int) -> tuple:
     # 2^(k-1) periods, each jumping at its middle; the jump underflows to
     # 0.0 past k = 1074, which only matters to a row of that element
@@ -284,7 +270,6 @@ def rademacher_system() -> SystemHandle:
         name="rademacher",
         eval=_rademacher_eval,
         antideriv=_rademacher_antideriv,
-        breakpoints=_rademacher_breakpoints,
         piecewise_constant=True,
         antideriv2=_rademacher_antideriv2,
         period=_rademacher_period,
@@ -330,20 +315,18 @@ def compress_reflect(base: SystemHandle) -> SystemHandle:
                         + 0.5 * anti(k, 1.0) * (u - 0.5) - 0.25 * a2,
                         0.25 * a2)
 
-    def bps(k: int) -> tuple:
-        inner = base.breakpoints(k)
-        pts = {0.5}
-        pts.update(p / 2.0 for p in inner)
-        pts.update(0.5 + p / 2.0 for p in inner)
-        return tuple(sorted(p for p in pts if 0.0 < p < 1.0))
+    def period(k: int) -> tuple:
+        # the base element's jumps in each half, and the joint at 1/2
+        half = element_breakpoints(base, k) / 2.0
+        return 1, np.concatenate((half, [0.5], 0.5 + half))
 
     return SystemHandle(
         name=f"reflect({base.name})",
         eval=reflected_eval,
         antideriv=None if anti is None else reflected_anti,
-        breakpoints=bps,
         piecewise_constant=base.piecewise_constant,
         antideriv2=None if anti is None or anti2 is None else reflected_anti2,
+        period=period,
     )
 
 
@@ -477,12 +460,26 @@ def function_catalog() -> list[FunctionSpec]:
 # rules, tables and inner products
 # ---------------------------------------------------------------------------
 
+def element_breakpoints(system: SystemHandle, k: int) -> np.ndarray:
+    """Sorted jumps of element k, the period hook tiled over [0, 1]; past
+    :data:`MAX_LISTED_JUMPS` refused, unless the hook lists them itself."""
+    repeats, jumps = system.period(k)
+    jumps = np.asarray(jumps, dtype=float)
+    if repeats == 1:
+        return jumps
+    count = repeats * (len(jumps) + 1) - 1
+    if count > MAX_LISTED_JUMPS:
+        raise OnsLabError(f"{system.name} element {k} has {count} jumps; "
+                          f"breakpoint lists stop at {MAX_LISTED_JUMPS}")
+    starts = np.arange(repeats) / repeats
+    return (starts[:, None] + np.concatenate(([0.0], jumps))).ravel()[1:]
+
+
 def breakpoints_upto(system: SystemHandle, k_max: int) -> tuple:
     """Sorted union of element breakpoints for indices 1..k_max."""
-    pts: set[float] = set()
-    for k in range(1, k_max + 1):
-        pts.update(system.breakpoints(k))
-    return tuple(sorted(pts))
+    return tuple(np.unique(np.concatenate(
+        [np.empty(0)] + [element_breakpoints(system, k)
+                         for k in range(1, k_max + 1)])).tolist())
 
 
 def recommended_rule(system: SystemHandle, k_max: int) -> QuadratureRule:
@@ -538,11 +535,12 @@ def _step_gram_row(system: SystemHandle, j: int, ks,
     has them; they are Python ints, as they pass 2**1072.
     """
     ks = np.asarray(ks, dtype=np.int64)
-    repeats, jumps = (1, None) if system.period is None else system.period(j)
-    if jumps is not None and repeats_k is None:
-        repeats_k = [system.period(k)[0] for k in ks.tolist()]
-    if jumps is None or any(r % repeats for r in repeats_k):
-        repeats, jumps = 1, system.breakpoints(j)
+    repeats, jumps = system.period(j)
+    if repeats != 1:
+        if repeats_k is None:
+            repeats_k = [system.period(k)[0] for k in ks.tolist()]
+        if any(r % repeats for r in repeats_k):
+            repeats, jumps = 1, element_breakpoints(system, j)
     # 1 / repeats as a Fraction: 1.0 / 2^1072 overflows the divisor
     edges = np.array([0.0, *jumps, float(Fraction(1, repeats))])
     mids = (edges[:-1] + edges[1:]) / 2.0
@@ -574,13 +572,11 @@ def gram_matrix(system: SystemHandle, n: int) -> np.ndarray:
         raise InvalidConfig(f"n: Gram matrix needs n >= 1, got {n}")
     if system.exact_steps:
         # each element's repeat count once, not once per (row, column) pair
-        repeats = (None if system.period is None
-                   else [system.period(k)[0] for k in range(1, n + 1)])
+        repeats = [system.period(k)[0] for k in range(1, n + 1)]
         out = np.empty((n, n))
         for j in range(1, n + 1):
             out[j - 1, j - 1:] = out[j - 1:, j - 1] = _step_gram_row(
-                system, j, np.arange(j, n + 1),
-                None if repeats is None else repeats[j - 1:])
+                system, j, np.arange(j, n + 1), repeats[j - 1:])
         return out
     rule = recommended_rule(system, n)
     nodes, weights, _ = cell_mesh((0.0, 1.0), rule, 2 * rule.panels)

@@ -269,7 +269,6 @@ class TestPrefixMeanLinkage:
                 sq3 * (np.asarray(u, dtype=float)
                        - np.asarray(u, dtype=float) ** 2),
                 np.broadcast(np.asarray(k), np.asarray(u)).shape),
-            breakpoints=lambda k: (),
         )
         report = prefix_mean_linkage(repeated, 0.0, 64)
         assert report.dirichlet_report.classification == "bounded"

@@ -134,16 +134,16 @@ class TestExitCodes:
 
     def test_lemma3_refuses_an_index_past_the_cap_before_any_cell(
             self, tmp_path, capsys, monkeypatch):
-        # n = 64 needs sign-system element 17, past the 16-jump breakpoint
-        # cap; n = 4 and 16 must not be computed first
+        # n = 64 needs sign-system element 17, whose 2^17 - 1 jumps are
+        # past the listed-jump cap; n = 4 and 16 must not be computed first
         cells = []
         monkeypatch.setattr(ons_lab.kernels, "cell_abs_integral",
                             lambda *args: cells.append(args))
         code, path = run_cli(["lemma3", "--system", "rademacher"], tmp_path)
         assert code == 1 and not path.exists() and cells == []
         assert capsys.readouterr().err == (
-            "ons-lab: error: sign system element 17 has 131071 jumps; "
-            "breakpoint lists stop at k = 16\n")
+            "ons-lab: error: rademacher element 17 has 131071 jumps; "
+            "breakpoint lists stop at 65535\n")
 
     def test_sign_system_gram_past_the_index_limit_is_one_line(self, tmp_path,
                                                                capsys):
@@ -179,6 +179,17 @@ class TestOutputFormats:
             f"{r['x']:.17g},{r['n']},{r['m_n']:.17g},{r['running_max']:.17g}"
             for r in rows]
         assert rows[0]["x"] == 0.3
+
+    def test_gram_rows_made_while_written_are_every_entry(self, tmp_path):
+        # 289 rows from a generator: two blocks, the second one partial
+        args = ["gram", "--system", "haar", "--n", "17"]
+        _, csv_path = run_cli(args, tmp_path, "a.csv")
+        _, json_path = run_cli([*args, "--format", "json"], tmp_path, "b")
+        rows = json.loads(json_path.read_text())["rows"]
+        assert [(r["j"], r["k"]) for r in rows] == [
+            (j, k) for j in range(1, 18) for k in range(1, 18)]
+        assert csv_path.read_text().splitlines()[1:] == [
+            f"{r['j']},{r['k']},{r['value']:.17g}" for r in rows]
 
     def test_csv_booleans_are_lowercase(self, tmp_path):
         code, path = run_cli(["theorem2", "--system", "haar", "--x", "0.3",

@@ -340,7 +340,6 @@ def _stripped_cosine() -> SystemHandle:
         name="cosine-stripped",
         eval=base.eval,
         antideriv=None,
-        breakpoints=base.breakpoints,
     )
 
 
@@ -351,8 +350,7 @@ class TestTableShapes:
         row = (lambda u: np.asarray(u, dtype=float)) if width is None else (
             lambda u: np.zeros(width))
         return SystemHandle(name="line", eval=lambda k, u: row(u),
-                            antideriv=lambda k, u: row(u) / 2.0,
-                            breakpoints=lambda k: ())
+                            antideriv=lambda k, u: row(u) / 2.0)
 
     def test_k_independent_row_is_repeated(self):
         us = np.array([0.0, 0.25, 1.0])
@@ -386,7 +384,7 @@ class TestNumericAntiderivativeFallback:
         sine = SystemHandle(
             name="sine-stripped",
             eval=lambda k, u: np.sqrt(2.0) * np.sin(2 * np.pi * k * u),
-            antideriv=None, breakpoints=lambda k: ())
+            antideriv=None)
         ctx, us = KernelContext(sine, 4), np.linspace(0.0, 1.0, 9)
         assert ctx.g_values([], us).shape == (0, 9)
         assert np.array_equal(antiderivative_kernel(ctx, us, 0.0),

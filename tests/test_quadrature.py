@@ -81,10 +81,28 @@ class TestRuleValidation:
         {"panels": 0},
         {"breakpoints": (0.5, 0.5)},
         {"breakpoints": (0.2, 1.2)},
+        # NaN fails every comparison, in the order test and the bounds test
+        {"breakpoints": (0.2, float("nan"), 0.5)},
+        {"breakpoints": (float("nan"),)},
     ])
     def test_bad_rule(self, kwargs):
         with pytest.raises(ValueError):
             QuadratureRule(**kwargs)
+
+    @pytest.mark.parametrize("bps, message", [
+        ((0.2, float("nan"), 0.5), "strictly increasing"),
+        ((0.5, 0.5), "strictly increasing"),
+        ((float("nan"),), "within"),
+        ((-0.0, 1.2), "within"),
+    ])
+    def test_each_breakpoint_check_keeps_its_message(self, bps, message):
+        with pytest.raises(ValueError, match=message):
+            QuadratureRule(breakpoints=bps)
+
+    def test_breakpoints_are_stored_as_python_floats(self):
+        rule = QuadratureRule(breakpoints=np.arange(1, 4) / 4)
+        assert rule.breakpoints == (0.25, 0.5, 0.75)
+        assert all(type(p) is float for p in rule.breakpoints)
 
     def test_with_breakpoints_merges_sorted(self):
         rule = QuadratureRule(breakpoints=(0.5,)).with_breakpoints([0.25, 0.75])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import CATALOG, STEP_CATALOG, gram_tolerance
 from ons_lab import (
     InvalidConfig,
+    OnsLabError,
     QuadratureRule,
     UnknownFunction,
     UnknownSystem,
@@ -27,7 +28,12 @@ from ons_lab import (
     recommended_rule,
     system_values,
 )
-from ons_lab.systems import SIGN_SYSTEM_K_MAX, breakpoints_upto
+from ons_lab.systems import (
+    MAX_LISTED_JUMPS,
+    SIGN_SYSTEM_K_MAX,
+    breakpoints_upto,
+    element_breakpoints,
+)
 
 SQ2 = np.sqrt(2.0)
 
@@ -49,8 +55,8 @@ class TestCosine:
     def test_not_piecewise_constant(self):
         # cosine elements have no jumps; the rule resolves their oscillation
         sys_ = cosine_system()
-        assert not sys_.piecewise_constant and sys_.period is None
-        assert sys_.breakpoints(5) == ()
+        assert not sys_.piecewise_constant and sys_.period(5) == (1, ())
+        assert element_breakpoints(sys_, 5).size == 0
         assert recommended_rule(sys_, 5).panels == 5
 
 
@@ -79,7 +85,7 @@ class TestHaar:
         sys_ = haar_system()
         grid = np.arange(257) / 256
         for m in (1, 2, 3, 5, 9, 17, 33):
-            rule = QuadratureRule(breakpoints=sys_.breakpoints(m))
+            rule = QuadratureRule(breakpoints=element_breakpoints(sys_, m))
             numeric = cumulative_integral(lambda u, m=m: np.asarray(
                 sys_.eval(m, u), dtype=float), grid, rule)
             closed = np.asarray(sys_.antideriv(m, grid), dtype=float)
@@ -107,9 +113,8 @@ class TestRademacher:
         assert rademacher_system().eval(k, 1.0) == -1.0
 
     def test_large_index_breakpoints_refuse_enumeration(self):
-        from ons_lab import OnsLabError
         with pytest.raises(OnsLabError):
-            rademacher_system().breakpoints(30)
+            element_breakpoints(rademacher_system(), 30)
 
     @settings(max_examples=100, deadline=None)
     @given(k=st.integers(1, SIGN_SYSTEM_K_MAX))
@@ -126,19 +131,23 @@ class TestRademacher:
     @pytest.mark.parametrize("k", range(1, 13))
     def test_period_tiles_to_the_breakpoint_list(self, k):
         # the jumps tiled over every repetition, plus the boundaries
-        # between repetitions, are breakpoints(k) exactly
+        # between repetitions, are element_breakpoints(k) exactly
         sys_ = rademacher_system()
         repeats, jumps = sys_.period(k)
         tiled = {Fraction(i, repeats) + Fraction(p)
                  for i in range(repeats) for p in jumps}
         tiled |= {Fraction(i, repeats) for i in range(1, repeats)}
-        assert [Fraction(p) for p in sys_.breakpoints(k)] == sorted(tiled)
+        assert [Fraction(p) for p in element_breakpoints(sys_, k)] == sorted(
+            tiled)
 
-    def test_gram_without_the_period_hook_is_bitwise_equal(self):
+    def test_gram_with_every_jump_listed_is_bitwise_equal(self):
+        # a hook that lists all jumps without repeats sums every row over
+        # all of [0, 1] instead of one repetition, to the same bits
         sys_ = rademacher_system()
         G = gram_matrix(sys_, 14)
-        plain = gram_matrix(replace(sys_, period=None), 14)
-        assert np.array_equal(G.view(np.int64), plain.view(np.int64))
+        listed = gram_matrix(replace(sys_, period=lambda k: (
+            1, element_breakpoints(sys_, k))), 14)
+        assert np.array_equal(G.view(np.int64), listed.view(np.int64))
 
     def test_inner_products_past_1024(self):
         sys_ = rademacher_system()
@@ -204,7 +213,7 @@ class TestRandomAntiderivatives:
         k = data.draw(st.integers(1, k_max), label="k")
         grid = np.sort(np.array(us))
         rule = QuadratureRule(panels=recommended_rule(sys_, k).panels,
-                              breakpoints=sys_.breakpoints(k))
+                              breakpoints=element_breakpoints(sys_, k))
         numeric = cumulative_integral(lambda u: np.asarray(
             sys_.eval(k, u), dtype=float), grid, rule)
         closed = np.asarray(sys_.antideriv(k, grid), dtype=float)
@@ -226,7 +235,7 @@ class TestRandomAntiderivatives:
         k = data.draw(st.integers(1, k_max), label="k")
         grid = np.sort(np.array(us))
         rule = QuadratureRule(panels=recommended_rule(sys_, k).panels,
-                              breakpoints=sys_.breakpoints(k))
+                              breakpoints=element_breakpoints(sys_, k))
         numeric = cumulative_integral(lambda u: np.asarray(
             sys_.antideriv(k, u), dtype=float), grid, rule)
         closed = np.asarray(sys_.antideriv2(k, grid), dtype=float)
@@ -251,6 +260,88 @@ class TestRecommendedRule:
         assert rule.order == 16
         assert rule.panels == (2 if step else max(4, k))
         assert rule.breakpoints == breakpoints_upto(sys_, k)
+
+
+#: Every jump checked against _exact_jumps is a multiple of 2^-_DEPTH.
+_DEPTH = 32
+
+
+def _exact_jumps(base: str, reflections: int, k: int) -> set:
+    """Jumps of element k from each system's definition, as exact integer
+    multiples of 2^-_DEPTH: ``reflections`` compress-and-reflect steps
+    over ``base``."""
+    one = 1 << _DEPTH
+    if reflections:
+        inner = _exact_jumps(base, reflections - 1, k)
+        return ({one // 2} | {p // 2 for p in inner}
+                | {(one + p) // 2 for p in inner})
+    if base == "rademacher":
+        return {i << (_DEPTH - k) for i in range(1, 1 << k)}
+    if base == "haar" and k > 1:
+        s = (k - 1).bit_length() - 1            # 2^s < k <= 2^(s+1)
+        j = k - (1 << s)
+        return {i << (_DEPTH - s - 1) for i in (2 * j - 2, 2 * j - 1, 2 * j)
+                } - {0, one}
+    return set()
+
+
+class TestBreakpointLists:
+    # breakpoints_upto against an exact union of per-element sets, kept
+    # as integers over one power of two, which is exact and much faster
+    # than Fraction sets: every jump is a dyadic double, so the lists must
+    # match bit for bit
+    @pytest.mark.parametrize("base", ["cosine", "haar", "rademacher"])
+    @pytest.mark.parametrize("reflections", [0, 1, 2])
+    def test_union_is_bitwise_the_exact_reference(self, base, reflections):
+        name = (base, f"reflect({base})", f"reflect2({base})")[reflections]
+        sys_ = get_system(name)
+        checks = (1, 2, 3, 5, 8, 13, 16)
+        if base != "rademacher":
+            checks += (64, 513)
+        union = set()
+        for k in range(1, checks[-1] + 1):
+            union |= _exact_jumps(base, reflections, k)
+            if k in checks:
+                want = np.ldexp(np.array(sorted(union), dtype=float),
+                                -_DEPTH)
+                got = breakpoints_upto(sys_, k)
+                assert all(type(p) is float for p in got)
+                assert np.array_equal(np.array(got).view(np.int64),
+                                      want.view(np.int64)), (name, k)
+
+    def test_no_elements_give_no_breakpoints(self):
+        assert breakpoints_upto(haar_system(), 0) == ()
+
+    def test_repeats_tile_the_first_repetition(self):
+        # three repetitions, each jumping at its middle
+        thirds = replace(haar_system(), period=lambda k: (3, (1 / 6,)))
+        assert element_breakpoints(thirds, 1).tolist() == [
+            1 / 6, 1 / 3, 1 / 3 + 1 / 6, 2 / 3, 2 / 3 + 1 / 6]
+
+    def test_sign_element_17_is_refused_in_one_line(self):
+        with pytest.raises(OnsLabError) as info:
+            element_breakpoints(rademacher_system(), 17)
+        assert str(info.value) == ("rademacher element 17 has 131071 jumps; "
+                                   "breakpoint lists stop at 65535")
+
+    def test_sign_element_16_is_the_last_listed(self):
+        pts = element_breakpoints(rademacher_system(), 16)
+        assert len(pts) == MAX_LISTED_JUMPS == 2 ** 16 - 1
+        assert np.array_equal(pts, np.arange(1, 2 ** 16) / 2 ** 16)
+
+    @pytest.mark.parametrize("name, count", [
+        ("reflect(rademacher)", 2 ** 17 - 1),
+        ("reflect2(rademacher)", 2 ** 18 - 1)])
+    def test_a_hook_that_lists_every_jump_is_not_refused(self, name, count):
+        sys_ = get_system(name)
+        assert sys_.period(16)[0] == 1
+        pts = element_breakpoints(sys_, 16)
+        assert len(pts) == count > MAX_LISTED_JUMPS
+        assert np.all(np.diff(pts) > 0)
+
+    def test_a_reflection_past_the_cap_is_refused_by_its_base(self):
+        with pytest.raises(OnsLabError, match="^rademacher element 17 has"):
+            element_breakpoints(get_system("reflect(rademacher)"), 17)
 
 
 class TestBroadcastingContract:
@@ -394,8 +485,7 @@ def _pairwise_step_product(system, j: int, k: int) -> float:
     summed over the pieces of whichever element has fewer of them in one
     repetition of the element that repeats less often (when the other's
     repeat count is a multiple of it), then repeated exactly."""
-    shape = system.period or (lambda idx: (1, system.breakpoints(idx)))
-    (rj, jumps_j), (rk, jumps_k) = shape(j), shape(k)
+    (rj, jumps_j), (rk, jumps_k) = system.period(j), system.period(k)
     count = min(rj, rk) if max(rj, rk) % min(rj, rk) == 0 else 1
 
     def pieces(repeats: int, jumps) -> int:
@@ -464,8 +554,8 @@ class TestCompressReflect:
 
     def test_breakpoints_contain_midpoint_and_scaled(self):
         once = compress_reflect(haar_system())
-        assert 0.5 in once.breakpoints(2)
-        assert 0.25 in once.breakpoints(2)
+        assert 0.5 in element_breakpoints(once, 2)
+        assert 0.25 in element_breakpoints(once, 2)
 
 
 class TestLookup:
