@@ -10,26 +10,26 @@ by itself tame every smooth function.
 
 import numpy as np
 
-from ons_lab import coefficients, get_function, get_system
+from ons_lab import KernelContext, coefficients, get_function, get_system
 
-once = get_system("reflect(cosine)")
-twice = get_system("reflect2(cosine)")
+once = KernelContext(get_system("reflect(cosine)"), 8)
+twice = KernelContext(get_system("reflect2(cosine)"), 8)
 
 one, ident = get_function("one"), get_function("id")
 print("moments of the reflected systems (first 8 elements):")
 print("  mean, once reflected:   ",
-      np.abs(coefficients(once, one, 8).coeffs).max())
+      np.abs(coefficients(once, one).coeffs).max())
 print("  mean, twice reflected:  ",
-      np.abs(coefficients(twice, one, 8).coeffs).max())
+      np.abs(coefficients(twice, one).coeffs).max())
 print("  1st moment, twice refl.:",
-      np.abs(coefficients(twice, ident, 8).coeffs).max())
+      np.abs(coefficients(twice, ident).coeffs).max())
 
 # The halving law: compressing a function one level while reflecting the
 # system once more halves every coefficient.
 g = get_function("g-compressed")    # bump squeezed into [0, 1/2)
 h = get_function("h-compressed")    # squeezed once more, into [0, 1/4)
-c_once = coefficients(once, g, 8).coeffs
-c_twice = coefficients(twice, h, 8).coeffs
+c_once = coefficients(once, g).coeffs
+c_twice = coefficients(twice, h).coeffs
 print("\ncoefficient halving, first 8 entries:")
 for n in range(8):
     print(f"  n={n + 1}:  {c_twice[n]:+.8f}  vs  half of  {c_once[n]:+.8f}"

@@ -20,7 +20,7 @@ from .fourier import CoefficientTable, coefficients, partial_sum_sweep
 from .kernels import (
     KernelContext,
     _prefix_rows,
-    antiderivative_kernel,
+    _section,
     boundedness_functional,
 )
 from .quadrature import cumulative_integral
@@ -132,17 +132,14 @@ def square_sum_ratio(system: SystemHandle, x: float, n_max: int,
                          np.arange(1, n_max + 1), vals, thresholds)
 
 
-def partial_sum_boundedness(system: SystemHandle, f: FunctionSpec, x: float,
-                            n_max: int,
-                            table: Optional[CoefficientTable] = None,
+def partial_sum_boundedness(table: CoefficientTable, x: float,
                             thresholds: Optional[ClassificationThresholds] = None
                             ) -> GrowthReport:
-    """Sequence ``|S_n(x, f)|`` for n = 1..n_max, classified."""
-    if table is None:
-        table = coefficients(system, f, n_max)
+    """Sequence ``|S_n(x, f)|`` for n = 1..n_max of the table, classified."""
     vals = np.abs(partial_sum_sweep(table, x))
-    return growth_report(f"partial-sums[{system.name}, {f.name}, x={x:g}]",
-                         np.arange(1, n_max + 1), vals, thresholds)
+    return growth_report(
+        f"partial-sums[{table.system.name}, {table.function.name}, x={x:g}]",
+        np.arange(1, table.n_max + 1), vals, thresholds)
 
 
 # ---------------------------------------------------------------------------
@@ -219,27 +216,23 @@ def boundedness_transfer(system: SystemHandle, f: FunctionSpec,
     An unmet hypothesis or an inconclusive conclusion yields
     ``consistent=True`` vacuously or ``False`` only when the hypothesis
     holds and the conclusion is classified growing/inconclusive; failures
-    at small ``n_max`` therefore read as evidence gaps, not errors.
+    at small ``n_max`` therefore read as evidence gaps, not errors.  The
+    three coefficient tables share one context, and so its rule.
     """
     if f.class_tag != "CL":
         raise ValueError("transfer experiment expects a function with "
                          "a Lipschitz derivative (class_tag='CL')")
-    q_table = coefficients(system, get_function("one"), n_max)
-    p_table = coefficients(system, get_function("id"), n_max)
-    f_table = coefficients(system, f, n_max)
-    m_matrix = boundedness_values(system, x_grid, n_max)
-    ns = np.arange(2, n_max + 1)
+    ctx = KernelContext(system, n_max)
+    q_table, p_table, f_table = (coefficients(ctx, g) for g in (
+        get_function("one"), get_function("id"), f))
+    m_reports = boundedness_experiment(system, x_grid, n_max, thresholds)
 
     cases = []
-    for j, x in enumerate(x_grid):
-        q_rep = partial_sum_boundedness(system, q_table.function, x, n_max,
-                                        table=q_table, thresholds=thresholds)
-        p_rep = partial_sum_boundedness(system, p_table.function, x, n_max,
-                                        table=p_table, thresholds=thresholds)
-        m_rep = growth_report(f"boundedness[{system.name}, x={x:g}]",
-                              ns, m_matrix[j], thresholds)
-        f_rep = partial_sum_boundedness(system, f, x, n_max,
-                                        table=f_table, thresholds=thresholds)
+    for x in x_grid:
+        q_rep = partial_sum_boundedness(q_table, x, thresholds)
+        p_rep = partial_sum_boundedness(p_table, x, thresholds)
+        m_rep = m_reports[float(x)]
+        f_rep = partial_sum_boundedness(f_table, x, thresholds)
         hypothesis = all(rep.classification == "bounded"
                          for rep in (q_rep, p_rep, m_rep))
         conclusion = f_rep.classification == "bounded"
@@ -294,8 +287,8 @@ def prefix_mean_linkage(system: SystemHandle, x: float, n_max: int,
                           ns, b_vals, thresholds)
     q_rep = growth_report(f"antiderivative-mean[{system.name}, x={x:g}]",
                           ns, q_vals, thresholds)
-    p_rep = partial_sum_boundedness(system, get_function("id"), x, n_max,
-                                    thresholds=thresholds)
+    p_rep = partial_sum_boundedness(coefficients(ctx, get_function("id")), x,
+                                    thresholds)
     premise = (b_rep.classification == "bounded"
                and q_rep.classification == "growing")
     consistent = (not premise) or p_rep.classification == "growing"
@@ -375,9 +368,10 @@ def pairing_split(ctx: KernelContext, f: FunctionSpec, t: float) -> PairingSplit
     n = ctx.n
     rule = ctx.rule.with_breakpoints(f.breakpoints) if f.breakpoints else ctx.rule
     grid = np.arange(1, n + 1) / n
+    kernel = _section(ctx, t)
 
     def q_and_fq(u):
-        q = antiderivative_kernel(ctx, u, t)
+        q = kernel(u)
         return np.stack((q, np.asarray(f.eval(u), dtype=float) * q))
 
     q_prefix, fq_prefix = cumulative_integral(q_and_fq, grid, rule)

@@ -295,11 +295,11 @@ def _run_lemma4(config: ExperimentConfig):
     f = _require_cl(systems.get_function(config.values["function"]))
     n = config.values["n"]
     tol = config.values["check_tol"]
-    table = fourier.coefficients(system, f, n)
     ctx = kernels.KernelContext(system, n)
+    table = fourier.coefficients(ctx, f)
     rows, worst = [], 0.0
     for x in config.values["x"]:
-        split = fourier.partial_sum_by_parts(ctx, f, x, table=table)
+        split = fourier.partial_sum_by_parts(ctx, table, x)
         worst = max(worst, abs(split.residual))
         rows.append((float(x), split.partial_sum, split.boundary_term,
                      split.derivative_term, split.residual))
@@ -330,12 +330,12 @@ def _run_eq11(config: ExperimentConfig):
     rows = []
     worst_sel = 0.0
     for n in config.values["n_values"]:
-        full = fourier.summation_identity(f, big_f, n, "n")
-        printed = fourier.summation_identity(f, big_f, n, "n-1")
-        sel_res = printed.residual if selected == "n-1" else full.residual
+        res = fourier.summation_identity(f, big_f, n)
+        sel_res = (res.residual_n_minus_1 if selected == "n-1"
+                   else res.residual)
         worst_sel = max(worst_sel, abs(sel_res))
-        rows.append((n, full.lhs, full.rhs, printed.rhs,
-                     full.residual, printed.residual))
+        rows.append((n, res.lhs, res.rhs, res.rhs_n_minus_1,
+                     res.residual, res.residual_n_minus_1))
     summary = {"function": f.name, "big_f": big_f_name,
                "second_sum_upper": selected,
                "max_abs_residual_selected": worst_sel,
@@ -362,7 +362,7 @@ def _run_partial_sums(config: ExperimentConfig):
     system = systems.get_system(config.values["system"])
     f = systems.get_function(config.values["function"])
     n_max = config.values["n_max"]
-    table = fourier.coefficients(system, f, n_max)
+    table = fourier.coefficients(kernels.KernelContext(system, n_max), f)
     rows = []
     for x in config.values["x"]:
         sums = fourier.partial_sum_sweep(table, x)
@@ -374,12 +374,11 @@ def _run_partial_sums(config: ExperimentConfig):
 def _run_e_phi(config: ExperimentConfig):
     system = systems.get_system(config.values["system"])
     f = systems.get_function(config.values["function"])
-    n_max = config.values["n_max"]
-    table = fourier.coefficients(system, f, n_max)
+    table = fourier.coefficients(
+        kernels.KernelContext(system, config.values["n_max"]), f)
     th = _thresholds(config)
     rows, summary = _sweep_rows(
-        (x, analysis.partial_sum_boundedness(system, f, x, n_max,
-                                             table=table, thresholds=th))
+        (x, analysis.partial_sum_boundedness(table, x, th))
         for x in config.values["x"])
     return rows, summary, 0
 
@@ -429,21 +428,17 @@ def _run_theorem3_extremal(config: ExperimentConfig):
 
 def _run_theorem4_moments(config: ExperimentConfig):
     base = systems.get_system(config.values["base"])
-    once = systems.compress_reflect(base)
-    twice = systems.compress_reflect(once)
     n_top = config.values["n"]
     tol = config.values["check_tol"]
     halving_tol = config.values["halving_tol"]
 
-    one = systems.get_function("one")
-    ident = systems.get_function("id")
-    q_once = fourier.coefficients(once, one, n_top).coeffs
-    q_twice = fourier.coefficients(twice, one, n_top).coeffs
-    p_twice = fourier.coefficients(twice, ident, n_top).coeffs
-    halved = fourier.coefficients(once, systems.get_function("g-compressed"),
-                                  n_top).coeffs
-    doubled_down = fourier.coefficients(
-        twice, systems.get_function("h-compressed"), n_top).coeffs
+    # one context, and so one rule, per reflected system
+    once = kernels.KernelContext(systems.compress_reflect(base), n_top)
+    twice = kernels.KernelContext(systems.compress_reflect(once.system), n_top)
+    q_once, q_twice, p_twice, halved, doubled_down = (
+        fourier.coefficients(ctx, systems.get_function(name)).coeffs
+        for ctx, name in ((once, "one"), (twice, "one"), (twice, "id"),
+                          (once, "g-compressed"), (twice, "h-compressed")))
     halving_residual = float(np.abs(doubled_down - halved / 2.0).max())
 
     rows = [(n, q_twice[n - 1], p_twice[n - 1]) for n in range(1, n_top + 1)]

@@ -11,18 +11,21 @@ through cell averages on the uniform mesh ``i/n``; it is exact when the
 local (double-integral) sum runs over all n cells, and misses an O(1/n)
 remainder when that sum stops at n - 1 as sometimes printed.  Both
 variants are computed so the difference can be reported.
+
+Coefficient tables take the rule of a :class:`KernelContext` and carry
+their system and function, which their readers take from them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
 from .errors import IndexOutOfRange, InvalidConfig, MissingDerivative
-from .kernels import KernelContext, antiderivative_kernel, dirichlet_mean
+from .kernels import KernelContext, _section, dirichlet_mean
 from .quadrature import (QuadratureRule, cell_integrals, cell_mesh,
                          cumulative_integral, integrate)
 from .systems import (
@@ -30,7 +33,6 @@ from .systems import (
     SystemHandle,
     _check_x,
     eval_matrix,
-    recommended_rule,
     system_values,
 )
 
@@ -48,30 +50,25 @@ class CoefficientTable:
         return len(self.coeffs)
 
 
-def coefficients(system: SystemHandle, f: FunctionSpec,
-                 n_max: int) -> CoefficientTable:
-    """Coefficients ``C_k = int_0^1 f phi_k`` for k = 1..n_max.
+def coefficients(ctx: KernelContext, f: FunctionSpec) -> CoefficientTable:
+    """Coefficients ``C_k = int_0^1 f phi_k`` for k = 1..n of ``ctx``.
 
-    Both paths sample ``f`` on the fine-pass nodes of the recommended rule,
+    Both paths sample ``f`` on the fine-pass nodes of the context's rule,
     joined by ``f.breakpoints``.  A step system is constant on each cell
     between its breakpoints, so ``f`` is integrated per cell
     (:func:`cell_integrals`) and weighed by the elements' values at the cell
-    midpoints: an ``(n_max, cells)`` table instead of ``(n_max, nodes)``.
+    midpoints: an ``(n, cells)`` table instead of ``(n, nodes)``.
     """
-    if n_max < 1:
-        raise InvalidConfig(
-            f"n_max: coefficient tables need n_max >= 1, got {n_max}")
-    system_rule = recommended_rule(system, n_max)
-    rule = (system_rule.with_breakpoints(f.breakpoints) if f.breakpoints
-            else system_rule)
+    system, n = ctx.system, ctx.n
+    rule = ctx.rule.with_breakpoints(f.breakpoints) if f.breakpoints else ctx.rule
     if system.piecewise_constant:
-        edges = np.array([0.0, *system_rule.breakpoints, 1.0])
+        edges = np.array([0.0, *ctx.rule.breakpoints, 1.0])
         cells = cell_integrals(f.eval, edges[1:], rule)
-        table = eval_matrix(system, n_max, (edges[:-1] + edges[1:]) / 2.0)
+        table = eval_matrix(system, n, (edges[:-1] + edges[1:]) / 2.0)
         return CoefficientTable(system, f, table @ cells)
     nodes, weights, _ = cell_mesh((0.0, 1.0), rule, 2 * rule.panels)
     f_vals = np.broadcast_to(np.asarray(f.eval(nodes), dtype=float), nodes.shape)
-    table = eval_matrix(system, n_max, nodes)
+    table = eval_matrix(system, n, nodes)
     return CoefficientTable(system, f, table @ (weights * f_vals))
 
 
@@ -108,50 +105,63 @@ class ByPartsSplit:
         return self.partial_sum - (self.boundary_term - self.derivative_term)
 
 
-def partial_sum_by_parts(ctx: KernelContext, f: FunctionSpec, x: float,
-                         table: Optional[CoefficientTable] = None) -> ByPartsSplit:
-    """Split ``S_n(x)`` into boundary and derivative kernel integrals, with
-    the system and n of ``ctx``.
+def partial_sum_by_parts(ctx: KernelContext, table: CoefficientTable,
+                         x: float) -> ByPartsSplit:
+    """Split ``S_n(x)`` of ``table.function`` into boundary and derivative
+    kernel integrals, with the system and n of ``ctx``.
 
-    Requires ``f.deriv``.  The derivative term integrates ``f'(u)`` against
-    the antiderivative kernel in the integration variable.  One context
-    serves every x, so a sweep builds its quadrature rule once.
+    The table must hold the coefficients of the context's system, at least
+    n of them, so one table serves every n up to its length.  Requires
+    ``f.deriv``.  The derivative term integrates ``f'(u)`` against the
+    antiderivative kernel in the integration variable.  One context serves
+    every x, so a sweep builds its quadrature rule once.
     """
+    f = table.function
     if f.deriv is None:
         raise MissingDerivative(f"function {f.name!r} has no derivative evaluator")
-    if table is None:
-        table = coefficients(ctx.system, f, ctx.n)
+    if table.system.name != ctx.system.name:
+        raise InvalidConfig(f"table: coefficients against {table.system.name!r}"
+                            f", but the context's system is {ctx.system.name!r}")
     lhs = partial_sum(table, ctx.n, x)
     quad_rule = ctx.rule.with_breakpoints(f.breakpoints) if f.breakpoints else ctx.rule
     boundary = f.value_at_1 * dirichlet_mean(ctx, x)
-    deriv = f.deriv
+    deriv, kernel = f.deriv, _section(ctx, x)
     derivative_term = integrate(
         lambda u: np.broadcast_to(np.asarray(deriv(u), dtype=float), u.shape)
-        * antiderivative_kernel(ctx, u, x), quad_rule).value
+        * kernel(u), quad_rule).value
     return ByPartsSplit(lhs, boundary, derivative_term)
 
 
 @dataclass(frozen=True)
 class SummationIdentity:
-    """Both sides of the mesh summation identity for ``int f' F``."""
+    """Both sides of the mesh summation identity for ``int f' F``, with the
+    local sum over all n cells and, as sometimes printed, over n - 1."""
 
     lhs: float
     term_difference: float
     term_local: float
+    term_local_n_minus_1: float
     term_tail: float
-    second_sum_upper: str
 
     @property
     def rhs(self) -> float:
         return self.term_difference + self.term_local + self.term_tail
 
     @property
+    def rhs_n_minus_1(self) -> float:
+        return self.term_difference + self.term_local_n_minus_1 + self.term_tail
+
+    @property
     def residual(self) -> float:
         return self.lhs - self.rhs
 
+    @property
+    def residual_n_minus_1(self) -> float:
+        return self.lhs - self.rhs_n_minus_1
 
-def summation_identity(f: FunctionSpec, F: Union[Callable, FunctionSpec], n: int,
-                       second_sum_upper: str = "n") -> SummationIdentity:
+
+def summation_identity(f: FunctionSpec, F: Union[Callable, FunctionSpec],
+                       n: int) -> SummationIdentity:
     """Evaluate ``int_0^1 f'(x) F(x) dx`` against its mesh decomposition.
 
     The right side is
@@ -160,14 +170,13 @@ def summation_identity(f: FunctionSpec, F: Union[Callable, FunctionSpec], n: int
       + n * sum_{i<=U} int_{cell_i} int_{cell_i} (f'(x) - f'(u)) du F(x) dx
       + n * int_{1-1/n}^1 f' * int_0^1 F
 
-    with ``U = n`` (exact) or ``U = n - 1`` per ``second_sum_upper``.
+    with ``U = n`` (exact, ``rhs``) and ``U = n - 1`` (``rhs_n_minus_1``),
+    both from one pass of cell integrals.
     """
     if f.deriv is None:
         raise MissingDerivative(f"function {f.name!r} has no derivative evaluator")
     if n < 2:
         raise InvalidConfig(f"n: summation identity needs n >= 2, got {n}")
-    if second_sum_upper not in ("n", "n-1"):
-        raise ValueError("second_sum_upper must be 'n' or 'n-1'")
 
     F_eval = F.eval if isinstance(F, FunctionSpec) else F
     F_breaks = F.breakpoints if isinstance(F, FunctionSpec) else ()
@@ -192,12 +201,11 @@ def summation_identity(f: FunctionSpec, F: Union[Callable, FunctionSpec], n: int
     # shifted difference: int_{cell_i} f'(x) - f'(x + 1/n) dx = c_i - c_{i+1}
     term_difference = float(n * np.dot(fp_cells[:-1] - fp_cells[1:],
                                        F_prefix[:-1]))
-    upper = n if second_sum_upper == "n" else n - 1
-    term_local = float(prod_cells[:upper].sum()
-                       - n * np.dot(fp_cells[:upper], F_cells[:upper]))
+    term_local = [float(prod_cells[:upper].sum()
+                        - n * np.dot(fp_cells[:upper], F_cells[:upper]))
+                  for upper in (n, n - 1)]
     term_tail = float(n * fp_cells[-1] * F_prefix[-1])
-    return SummationIdentity(lhs, term_difference, term_local, term_tail,
-                             second_sum_upper)
+    return SummationIdentity(lhs, term_difference, *term_local, term_tail)
 
 
 def kernel_section(system: SystemHandle, n: int, x: float) -> Callable:
@@ -205,6 +213,4 @@ def kernel_section(system: SystemHandle, n: int, x: float) -> Callable:
 
     Convenience for feeding kernel sections into :func:`summation_identity`.
     """
-    _check_x(x)
-    ctx = KernelContext(system, n)
-    return lambda u: antiderivative_kernel(ctx, u, x)
+    return _section(KernelContext(system, n), x)

@@ -146,13 +146,28 @@ def _cell_rule(rule: QuadratureRule, width: float) -> QuadratureRule:
 
 def dirichlet_kernel(ctx: KernelContext, u, x: float):
     """Kernel ``sum_{k<=n} phi_k(u) phi_k(x)``."""
-    return _live_sum(partial(index_table, ctx.system.eval),
-                     *_live_rows(ctx, x), u)
+    return _section(ctx, x, dirichlet=True)(u)
 
 
 def antiderivative_kernel(ctx: KernelContext, u, x: float):
     """Kernel ``sum_{k<=n} g_k(u) phi_k(x)``."""
-    return _live_sum(ctx.g_values, *_live_rows(ctx, x), u)
+    return _section(ctx, x)(u)
+
+
+def _section(ctx: KernelContext, x: float, dirichlet: bool = False):
+    """The antiderivative (or Dirichlet-type) kernel at x as a function of u,
+    with ``phi(x)``'s live rows found once; a scalar u sums exactly."""
+    table = (partial(index_table, ctx.system.eval) if dirichlet
+             else ctx.g_values)
+    ks, weights = _live_rows(ctx, x)
+
+    def kernel(u):
+        u_arr = np.asarray(u, dtype=float)
+        vals = table(ks, np.atleast_1d(u_arr))
+        if u_arr.ndim == 0:
+            return math.fsum(vals[:, 0] * weights)
+        return weights @ vals
+    return kernel
 
 
 def _live_rows(ctx: KernelContext, x: float):
@@ -161,15 +176,6 @@ def _live_rows(ctx: KernelContext, x: float):
     phi_x = system_values(ctx.system, ctx.n, x)
     live = np.flatnonzero(phi_x)
     return live + 1, phi_x[live]
-
-
-def _live_sum(table, ks: np.ndarray, weights: np.ndarray, u):
-    """``sum_r table(ks, u)[r] * weights[r]``; a scalar u sums exactly."""
-    u_arr = np.asarray(u, dtype=float)
-    vals = table(ks, np.atleast_1d(u_arr))
-    if u_arr.ndim == 0:
-        return math.fsum(vals[:, 0] * weights)
-    return weights @ vals
 
 
 def kernel_prefix_integral(ctx: KernelContext, t: float, x: float) -> float:
@@ -237,11 +243,10 @@ def boundedness_functional_naive(ctx: KernelContext, x: float) -> float:
     """
     if ctx.n < 2:
         raise ValueError("boundedness functional needs n >= 2")
+    kernel = _section(ctx, x)
     total = 0.0
     for i in range(1, ctx.n):
-        res = integrate(lambda u: antiderivative_kernel(ctx, u, x),
-                        ctx.rule, 0.0, i / ctx.n)
-        total += abs(res.value)
+        total += abs(integrate(kernel, ctx.rule, 0.0, i / ctx.n).value)
     return total / ctx.n
 
 
@@ -264,15 +269,13 @@ def cell_abs_integral(ctx: KernelContext, i: int, x: float) -> IntegrationResult
     if not 1 <= i <= ctx.n:
         raise ValueError("cell index must satisfy 1 <= i <= n")
     lo, hi = (i - 1) / ctx.n, i / ctx.n
-    rows = _live_rows(ctx, x)
+    kernel = _section(ctx, x)
     if ctx.system.exact_steps:
         edges = np.concatenate(([lo], _inner_breakpoints(ctx.rule, lo, hi),
                                 [hi]))
-        q = _live_sum(ctx.g_values, *rows, edges)
-        return IntegrationResult(_abs_piecewise_linear(edges, q), 0.0,
-                                 len(edges) - 1)
-    return integrate_abs(lambda u: _live_sum(ctx.g_values, *rows, u),
-                         _cell_rule(ctx.rule, 1.0 / ctx.n), lo, hi)
+        return IntegrationResult(_abs_piecewise_linear(edges, kernel(edges)),
+                                 0.0, len(edges) - 1)
+    return integrate_abs(kernel, _cell_rule(ctx.rule, 1.0 / ctx.n), lo, hi)
 
 
 def _abs_piecewise_linear(edges: np.ndarray, q: np.ndarray) -> float:
@@ -300,7 +303,7 @@ def dirichlet_mean(ctx: KernelContext, x: float) -> float:
     """
     if ctx.system.exact_steps:
         return antiderivative_kernel(ctx, 1.0, x)
-    return integrate(lambda u: dirichlet_kernel(ctx, u, x), ctx.rule).value
+    return integrate(_section(ctx, x, dirichlet=True), ctx.rule).value
 
 
 def antiderivative_square_sum(system: SystemHandle, n: int, us) -> np.ndarray:

@@ -78,11 +78,11 @@ def test_criterion_04_by_parts_identity():
         system = ol.get_system(sys_name)
         for f_name in ("id", "half-square", "cos-bump"):
             f = ol.get_function(f_name)
-            table = ol.coefficients(system, f, 64)
+            table = ol.coefficients(ol.KernelContext(system, 64), f)
             for n in (2, 4, 8, 16, 32, 64):
                 ctx = ol.KernelContext(system, n)
                 for x in NINE_POINT_GRID:
-                    split = ol.partial_sum_by_parts(ctx, f, x, table=table)
+                    split = ol.partial_sum_by_parts(ctx, table, x)
                     worst = max(worst, abs(split.residual))
     ok = worst < 1e-6
     _report(4, "by-parts-identity", ok, f"max |residual| = {worst:.2e} < 1e-6")
@@ -96,7 +96,7 @@ def test_criterion_05_summation_identity():
         f = ol.get_function(f_name)
         for _, factor in factors:
             for n in (2, 4, 8, 16, 32):
-                res = ol.summation_identity(f, factor, n, "n")
+                res = ol.summation_identity(f, factor, n)
                 worst = max(worst, abs(res.residual))
     ok = worst < 1e-6
     _report(5, "summation-identity", ok, f"max |residual| = {worst:.2e} < 1e-6")
@@ -134,17 +134,17 @@ def test_criterion_07_haar_boundedness():
 
 
 def test_criterion_08_vanishing_moment_construction():
-    once = ol.get_system("reflect(cosine)")
-    twice = ol.get_system("reflect2(cosine)")
+    once = ol.KernelContext(ol.get_system("reflect(cosine)"), 64)
+    twice = ol.KernelContext(ol.get_system("reflect2(cosine)"), 64)
     one = ol.get_function("one")
     ident = ol.get_function("id")
-    mean_once = np.abs(ol.coefficients(once, one, 64).coeffs).max()
-    mean_twice = np.abs(ol.coefficients(twice, one, 64).coeffs).max()
-    moment_twice = np.abs(ol.coefficients(twice, ident, 64).coeffs).max()
+    mean_once = np.abs(ol.coefficients(once, one).coeffs).max()
+    mean_twice = np.abs(ol.coefficients(twice, one).coeffs).max()
+    moment_twice = np.abs(ol.coefficients(twice, ident).coeffs).max()
     moments_ok = max(mean_once, mean_twice, moment_twice) < 1e-9
 
-    halved = ol.coefficients(once, ol.get_function("g-compressed"), 64).coeffs
-    nested = ol.coefficients(twice, ol.get_function("h-compressed"), 64).coeffs
+    halved = ol.coefficients(once, ol.get_function("g-compressed")).coeffs
+    nested = ol.coefficients(twice, ol.get_function("h-compressed")).coeffs
     halving_err = float(np.abs(nested - halved / 2.0).max())
     ok = moments_ok and halving_err < 1e-8
     _report(8, "vanishing-moment-construction", ok,

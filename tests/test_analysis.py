@@ -13,6 +13,7 @@ from ons_lab import (
     boundedness_experiment,
     boundedness_transfer,
     boundedness_values,
+    coefficients,
     cosine_system,
     extremal_lipschitz,
     extremal_pairing_sweep,
@@ -108,20 +109,30 @@ class TestSquareSumRatio:
 
 class TestPartialSumBoundedness:
     def test_cosine_constant_all_zero(self):
-        rep = partial_sum_boundedness(cosine_system(), get_function("one"),
-                                      0.3, 64)
+        table = coefficients(KernelContext(cosine_system(), 64),
+                             get_function("one"))
+        rep = partial_sum_boundedness(table, 0.3)
         assert max(rep.values) < 1e-11
         assert rep.classification == "bounded"
 
     def test_cosine_identity_all_zero(self):
-        rep = partial_sum_boundedness(cosine_system(), get_function("id"),
-                                      0.3, 64)
+        table = coefficients(KernelContext(cosine_system(), 64),
+                             get_function("id"))
+        rep = partial_sum_boundedness(table, 0.3)
         assert max(rep.values) < 1e-11
         assert rep.classification == "bounded"
 
+    def test_label_and_indices_come_from_the_table(self):
+        table = coefficients(KernelContext(haar_system(), 16),
+                             get_function("cos-bump"))
+        rep = partial_sum_boundedness(table, 0.3)
+        assert rep.label == "partial-sums[haar, cos-bump, x=0.3]"
+        assert rep.indices == tuple(range(1, 17))
+
     def test_twice_reflected_kills_identity_coefficients(self):
-        sys_ = get_system("reflect2(cosine)")
-        rep = partial_sum_boundedness(sys_, get_function("id"), 0.3, 64)
+        table = coefficients(KernelContext(get_system("reflect2(cosine)"), 64),
+                             get_function("id"))
+        rep = partial_sum_boundedness(table, 0.3)
         assert max(rep.values) < 1e-9
         assert rep.classification == "bounded"
 

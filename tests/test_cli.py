@@ -404,6 +404,50 @@ class TestCommands:
         assert lines[-1].startswith("1,24,")
 
 
+class TestWorkDone:
+    """Counts of repeated work, taken by wrapping library functions."""
+
+    @pytest.mark.parametrize("argv, rules", [
+        (["theorem4-moments"], 2),
+        (["lemma4"], 1),
+        (["theorem2", "--system", "haar"], 1),
+    ])
+    def test_each_context_builds_its_rule_once(self, argv, rules, tmp_path,
+                                               monkeypatch):
+        # theorem4-moments takes five coefficient tables of two reflected
+        # systems; lemma4 and theorem2 take theirs from one context
+        original, built = ons_lab.systems.recommended_rule, []
+
+        def counted(*args):
+            built.append(args)
+            return original(*args)
+
+        for module in list(sys.modules.values()):
+            if (module is not None and module.__name__.startswith("ons_lab")
+                    and vars(module).get("recommended_rule") is original):
+                monkeypatch.setattr(module, "recommended_rule", counted)
+        code, _ = run_cli(argv, tmp_path)
+        assert code == 0
+        assert len(built) == rules
+
+    def test_lemma4_finds_live_rows_at_most_twice_per_point(self, tmp_path,
+                                                            monkeypatch):
+        # the boundary and derivative kernels of one split, each found once
+        # per point rather than once per quadrature sample block
+        original, points = ons_lab.kernels._live_rows, []
+
+        def counted(ctx, x):
+            points.append(x)
+            return original(ctx, x)
+
+        monkeypatch.setattr(ons_lab.kernels, "_live_rows", counted)
+        code, _ = run_cli(["lemma4", "--system", "rademacher", "--n", "12"],
+                          tmp_path)
+        x_grid = REGISTRY["lemma4"].flags["x"]
+        assert code == 0
+        assert sorted(points) == sorted(2 * x_grid)
+
+
 class TestConfigObject:
     def test_all_commands_have_handlers_and_defaults(self):
         assert COMMANDS == tuple(REGISTRY)

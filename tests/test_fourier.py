@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ from conftest import CATALOG, riemann_midpoint
 from ons_lab import (
     FunctionSpec,
     IndexOutOfRange,
+    InvalidConfig,
     KernelContext,
     MissingDerivative,
     coefficients,
@@ -14,6 +16,7 @@ from ons_lab import (
     get_function,
     get_system,
     haar_system,
+    integrate,
     kernel_section,
     partial_sum,
     partial_sum_by_parts,
@@ -27,15 +30,18 @@ SQ2 = np.sqrt(2.0)
 
 class TestCoefficients:
     def test_cosine_of_constant_vanish(self):
-        table = coefficients(cosine_system(), get_function("one"), 8)
+        table = coefficients(KernelContext(cosine_system(), 8),
+                             get_function("one"))
         assert np.abs(table.coeffs).max() < 1e-12
 
     def test_cosine_of_identity_vanish(self):
-        table = coefficients(cosine_system(), get_function("id"), 8)
+        table = coefficients(KernelContext(cosine_system(), 8),
+                             get_function("id"))
         assert np.abs(table.coeffs).max() < 1e-12
 
     def test_haar_identity_second_coefficient(self):
-        table = coefficients(haar_system(), get_function("id"), 4)
+        table = coefficients(KernelContext(haar_system(), 4),
+                             get_function("id"))
         assert table.coeffs[1] == pytest.approx(-0.25, abs=1e-13)
 
     def test_fresh_quadrature_agreement(self):
@@ -43,12 +49,27 @@ class TestCoefficients:
         from ons_lab import integrate, recommended_rule
         sys_ = get_system("reflect(cosine)")
         f = get_function("half-square")
-        table = coefficients(sys_, f, 6)
+        table = coefficients(KernelContext(sys_, 6), f)
         rule = recommended_rule(sys_, 6)
         for k in range(1, 7):
             fresh = integrate(lambda u, k=k: np.asarray(f.eval(u)) * np.asarray(
                 sys_.eval(k, u), dtype=float), rule).value
             assert abs(table.coeffs[k - 1] - fresh) < 2e-10
+
+    @pytest.mark.parametrize("name, f_name", [("cosine", "half-square"),
+                                              ("haar", "cos-bump")])
+    def test_uses_the_context_rule(self, name, f_name):
+        # a two-node rule on the context gives that rule's fine-pass
+        # integrals, which differ from the recommended rule's 16 nodes
+        sys_, f = get_system(name), get_function(f_name)
+        default = KernelContext(sys_, 8)
+        coarse = KernelContext(sys_, 8, replace(default.rule, order=2))
+        got = coefficients(coarse, f).coeffs
+        for k in range(1, 9):
+            want = integrate(lambda u, k=k: f.eval(u) * sys_.eval(k, u),
+                             coarse.rule).value
+            assert abs(got[k - 1] - want) < 1e-15
+        assert np.abs(got - coefficients(default, f).coeffs).max() > 1e-9
 
     @pytest.mark.parametrize("name, n", [("rademacher", 14), ("haar", 512),
                                          ("reflect(haar)", 64)])
@@ -62,7 +83,8 @@ class TestCoefficients:
         a = [int(Fraction(e) * D) for e in edges]
         steps = [hi ** 3 - lo ** 3 for lo, hi in zip(a, a[1:])]
         values = eval_matrix(sys_, n, (edges[:-1] + edges[1:]) / 2.0)
-        got = coefficients(sys_, get_function("half-square"), n).coeffs
+        got = coefficients(KernelContext(sys_, n),
+                           get_function("half-square")).coeffs
         for k in range(n):
             amp = np.abs(values[k]).max()
             signs = (values[k] / amp).astype(int).tolist()   # exact +-1, 0
@@ -73,21 +95,25 @@ class TestCoefficients:
 
 class TestPartialSum:
     def test_zero_coefficients_give_zero(self):
-        table = coefficients(cosine_system(), get_function("one"), 8)
+        table = coefficients(KernelContext(cosine_system(), 8),
+                             get_function("one"))
         for n in (1, 4, 8):
             assert abs(partial_sum(table, n, 0.3)) < 1e-11
 
     def test_haar_identity_quarter_point(self):
-        table = coefficients(haar_system(), get_function("id"), 2)
+        table = coefficients(KernelContext(haar_system(), 2),
+                             get_function("id"))
         assert partial_sum(table, 2, 0.25) == pytest.approx(0.25, abs=1e-12)
 
     def test_out_of_range(self):
-        table = coefficients(haar_system(), get_function("id"), 4)
+        table = coefficients(KernelContext(haar_system(), 4),
+                             get_function("id"))
         with pytest.raises(IndexOutOfRange):
             partial_sum(table, 5, 0.5)
 
     def test_sweep_matches_individual_sums(self):
-        table = coefficients(haar_system(), get_function("half-square"), 16)
+        table = coefficients(KernelContext(haar_system(), 16),
+                             get_function("half-square"))
         sums = partial_sum_sweep(table, 0.3)
         for n in (1, 5, 16):
             assert sums[n - 1] == pytest.approx(partial_sum(table, n, 0.3),
@@ -102,9 +128,8 @@ class TestPartialSum:
             eval=lambda u: alpha * np.asarray(f.eval(u)) + beta * np.asarray(
                 g.eval(u)),
             deriv=None, class_tag="continuous")
-        t_f = coefficients(sys_, f, 16)
-        t_g = coefficients(sys_, g, 16)
-        t_c = coefficients(sys_, combo, 16)
+        ctx = KernelContext(sys_, 16)
+        t_f, t_g, t_c = (coefficients(ctx, h) for h in (f, g, combo))
         for n in (2, 9, 16):
             for x in (0.2, 0.8):
                 lhs = partial_sum(t_c, n, x)
@@ -116,15 +141,17 @@ class TestPartialSum:
 class TestByPartsSplit:
     def test_identity_function_on_cosine(self):
         # all cosine coefficients of u vanish, so both routes give zero
-        split = partial_sum_by_parts(KernelContext(cosine_system(), 4),
-                                     get_function("id"), 0.2)
+        ctx = KernelContext(cosine_system(), 4)
+        split = partial_sum_by_parts(
+            ctx, coefficients(ctx, get_function("id")), 0.2)
         assert abs(split.partial_sum) < 1e-10
         assert abs(split.boundary_term - split.derivative_term) < 1e-8
 
     def test_half_square_on_cosine_independent_oracle(self):
         sys_, f = cosine_system(), get_function("half-square")
         n, x = 8, 0.5
-        split = partial_sum_by_parts(KernelContext(sys_, n), f, x)
+        ctx = KernelContext(sys_, n)
+        split = partial_sum_by_parts(ctx, coefficients(ctx, f), x)
 
         ks = np.arange(1, n + 1)
         phi_x = SQ2 * np.cos(2 * np.pi * ks * x)
@@ -148,16 +175,35 @@ class TestByPartsSplit:
         assert abs(split.residual) < 1e-7
 
     def test_bump_on_haar(self):
-        split = partial_sum_by_parts(KernelContext(haar_system(), 16),
-                                     get_function("cos-bump"), 0.3)
+        ctx = KernelContext(haar_system(), 16)
+        split = partial_sum_by_parts(
+            ctx, coefficients(ctx, get_function("cos-bump")), 0.3)
         assert abs(split.residual) < 1e-7
+
+    def test_refuses_a_table_of_another_system(self):
+        table = coefficients(KernelContext(cosine_system(), 16),
+                             get_function("cos-bump"))
+        with pytest.raises(InvalidConfig) as err:
+            partial_sum_by_parts(KernelContext(haar_system(), 16), table, 0.3)
+        assert str(err.value) == ("table: coefficients against 'cosine', but "
+                                  "the context's system is 'haar'")
+
+    def test_longer_table_of_the_same_system_serves_every_n(self):
+        # a table of 32 coefficients and contexts of their own handles
+        f = get_function("cos-bump")
+        table = coefficients(KernelContext(haar_system(), 32), f)
+        for n in (4, 8, 32):
+            split = partial_sum_by_parts(KernelContext(haar_system(), n),
+                                         table, 0.3)
+            assert split.partial_sum == partial_sum(table, n, 0.3)
+            assert abs(split.residual) < 1e-7
 
     def test_missing_derivative(self):
         lip_only = FunctionSpec(name="corner", eval=lambda u: np.abs(
             np.asarray(u) - 0.5), deriv=None, class_tag="Lip1")
+        ctx = KernelContext(haar_system(), 4)
         with pytest.raises(MissingDerivative):
-            partial_sum_by_parts(KernelContext(haar_system(), 4), lip_only,
-                                 0.3)
+            partial_sum_by_parts(ctx, coefficients(ctx, lip_only), 0.3)
 
 
 class TestSummationIdentity:
@@ -172,25 +218,25 @@ class TestSummationIdentity:
         res = summation_identity(get_function("id"), get_function("one"), 4)
         assert res.lhs == pytest.approx(1.0, abs=1e-12)
         assert abs(res.residual) < 1e-8
-        printed = summation_identity(get_function("id"), get_function("one"),
-                                     4, "n-1")
-        assert abs(printed.residual) < 1e-8   # exact for a constant factor
+        # exact for a constant factor
+        assert abs(res.residual_n_minus_1) < 1e-8
 
     def test_kernel_factor_full_variant_exact(self):
         F = kernel_section(cosine_system(), 8, 0.3)
         for n in (2, 4, 8):
-            res = summation_identity(get_function("half-square"), F, n, "n")
+            res = summation_identity(get_function("half-square"), F, n)
             assert abs(res.residual) < 1e-6
 
     def test_kernel_factor_printed_variant_misses_remainder(self):
         F = kernel_section(cosine_system(), 8, 0.3)
-        res = summation_identity(get_function("half-square"), F, 4, "n-1")
-        assert abs(res.residual) > 1e-5    # the O(1/n) remainder is real
+        res = summation_identity(get_function("half-square"), F, 4)
+        # the O(1/n) remainder is real
+        assert abs(res.residual_n_minus_1) > 1e-5
 
     def test_terms_against_dense_oracle(self):
         n = 4
         F = kernel_section(cosine_system(), 8, 0.3)
-        res = summation_identity(get_function("half-square"), F, n, "n")
+        res = summation_identity(get_function("half-square"), F, n)
 
         def fp(u):
             return np.asarray(u, dtype=float)
@@ -224,11 +270,6 @@ class TestSummationIdentity:
         with pytest.raises(MissingDerivative):
             summation_identity(lip_only, get_function("one"), 4)
 
-    def test_rejects_bad_upper(self):
-        with pytest.raises(ValueError):
-            summation_identity(get_function("id"), get_function("one"), 4,
-                               "n-2")
-
 
 class TestCoefficientBessel:
     @pytest.mark.parametrize("name", CATALOG)
@@ -236,7 +277,7 @@ class TestCoefficientBessel:
         sys_ = get_system(name)
         top = 8 if name == "rademacher" else 64
         f = get_function("half-square")
-        table = coefficients(sys_, f, top)
+        table = coefficients(KernelContext(sys_, top), f)
         from ons_lab import QuadratureRule, integrate
         energy = integrate(lambda u: np.asarray(f.eval(u)) ** 2,
                            QuadratureRule(panels=8)).value

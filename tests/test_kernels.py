@@ -307,7 +307,8 @@ class TestDirichletMeanIdentity:
         # quadrature of the kernel mean against the coefficient route
         sys_ = get_system(name)
         top = 8 if name == "rademacher" else 64
-        table = coefficients(sys_, get_function("one"), top)
+        table = coefficients(KernelContext(sys_, top),
+                             get_function("one"))
         for n in (1, 2, top // 2, top):
             ctx = KernelContext(sys_, n)
             for x in (0.3, 0.9):
@@ -521,8 +522,8 @@ _POINT_CALLS = {
     "partial_sum[array]":
         lambda s, c, t, x: partial_sum(t, 4, np.array([0.5, x])),
     "partial_sum_sweep": lambda s, c, t, x: partial_sum_sweep(t, x),
-    "partial_sum_boundedness": lambda s, c, t, x: partial_sum_boundedness(
-        s, t.function, x, 8, table=t),
+    "partial_sum_boundedness":
+        lambda s, c, t, x: partial_sum_boundedness(t, x),
     "system_values": lambda s, c, t, x: system_values(s, 8, x),
 }
 
@@ -557,9 +558,10 @@ class TestSparsePrefixRows:
     @pytest.mark.parametrize("call", sorted(_POINT_CALLS))
     def test_rejects_x_outside_unit_interval(self, call, x):
         sys_ = haar_system()
-        table = coefficients(sys_, get_function("id"), 8)
+        ctx = KernelContext(sys_, 8)
+        table = coefficients(ctx, get_function("id"))
         with pytest.raises(ValueError, match=r"x must lie in \[0, 1\]"):
-            _POINT_CALLS[call](sys_, KernelContext(sys_, 8), table, x)
+            _POINT_CALLS[call](sys_, ctx, table, x)
 
 
 def test_compensated_scalar_matches_fsum():
