@@ -334,7 +334,7 @@ def extremal_lipschitz(ctx: KernelContext, t: float,
         eval=interpolant,
         deriv=None,
         class_tag="Lip1",
-        breakpoints=tuple(ys[1:-1]),
+        breakpoints=ys[1:-1],
     )
 
 
@@ -366,7 +366,7 @@ def pairing_split(ctx: KernelContext, f: FunctionSpec, t: float) -> PairingSplit
     """
     _check_x(t, "t")
     n = ctx.n
-    rule = ctx.rule.with_breakpoints(f.breakpoints) if f.breakpoints else ctx.rule
+    rule = ctx.rule.with_breakpoints(f.breakpoints)
     grid = np.arange(1, n + 1) / n
     kernel = _section(ctx, t)
 

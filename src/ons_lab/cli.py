@@ -19,9 +19,9 @@ the value the run used (given or default; ``null`` for an unset optional
 flag), after the fixed ``system`` of ``theorem5`` and ``theorem6``.
 
 Exit codes: 0 on success, 1 on a usage error (unknown flag or name,
-invalid configuration) with a one-line message, 2 when a command's
-invariant check fails (for example a Gram matrix off identity beyond
-tolerance).
+invalid configuration, a NaN tolerance or threshold) with a one-line
+message, 2 when a command's invariant check fails (for example a Gram
+matrix off identity beyond tolerance).
 
 Flag values override config-file entries, which override the registry
 defaults.  Config files are flat ``key=value`` text; keys match flag
@@ -38,6 +38,7 @@ import itertools
 import json
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -132,6 +133,10 @@ class ExperimentConfig:
         if values["format"] not in ("csv", "json"):
             raise InvalidConfig(f"format: must be csv or json, got "
                                 f"{values['format']!r}")
+        # a tolerance or threshold may be infinite (no bound), never NaN
+        for key in ("check_tol", "halving_tol", *_THRESHOLDS):
+            if key in values and values[key] != values[key]:
+                raise InvalidConfig(f"{key}: must be a number, got nan")
         if "x" in values and not values["x"]:
             raise InvalidConfig("x: needs at least one point")
         for x in values.get("x", ()):
@@ -149,42 +154,52 @@ class ExperimentConfig:
 #: CSV text of a value by its column's numpy dtype kind: true/false,
 #: floats to 17 significant digits, anything else str.
 _CELL = {"b": lambda v: "true" if v else "false", "f": "%.17g".__mod__}
-#: Rows formatted at a time: whole columns would hold the text of every
-#: cell next to the output buffer (4 MB more peak RSS on a 16k-row sweep).
-_CSV_BLOCK = 256
+#: Rows formatted at a time, in CSV and JSON: whole columns would hold the
+#: text of every cell next to the output buffer (4 MB more peak RSS on a
+#: 16k-row sweep).
+_ROW_BLOCK = 256
 
 
-def _render(config: ExperimentConfig, header, rows, summary) -> str:
+def _render(config: ExperimentConfig, header, rows, summary, out) -> None:
+    """Write the output to the text stream ``out``; JSON rows go out
+    ``_ROW_BLOCK`` at a time, as they are made."""
     if config.values["format"] == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(header)
         rows = iter(rows)
-        while block := list(itertools.islice(rows, _CSV_BLOCK)):
+        while block := list(itertools.islice(rows, _ROW_BLOCK)):
             columns = map(np.asarray, zip(*block))
             writer.writerows(zip(*(map(_CELL.get(c.dtype.kind, str),
                                        c.tolist()) for c in columns)))
-        return buf.getvalue()
-    payload = {
-        "config": {"command": config.command, **config.values},
-        "rows": [dict(zip(header, row)) for row in rows],
-        "summary": summary,
-    }
+        out.write(buf.getvalue())
+        return
     # numpy scalars that are not Python numbers already become their item()
-    return json.dumps(payload, indent=2, default=np.generic.item) + "\n"
+    dump = partial(json.dumps, indent=2, default=np.generic.item)
+    payload = {"config": {"command": config.command, **config.values},
+               "rows": [], "summary": summary}
+    # the marker cannot occur inside a string, whose quotes are escaped
+    head, tail = dump(payload).split('"rows": []', 1)
+    out.write(head + '"rows": [')
+    rows, sep = iter(rows), "\n"
+    while block := [dict(zip(header, row))
+                    for row in itertools.islice(rows, _ROW_BLOCK)]:
+        # a block's items, one level deeper than in their own list
+        out.write(sep + "  " + dump(block)[2:-2].replace("\n", "\n  "))
+        sep = ",\n"
+    out.write(("]" if sep == "\n" else "\n  ]") + tail + "\n")
 
 
 def _emit(config: ExperimentConfig, header, rows, summary) -> None:
-    text = _render(config, header, rows, summary)
     output = config.values["output"]
-    if output:
-        try:
-            with open(output, "w", newline="") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise InvalidConfig(f"output: {exc}") from None
-    else:
-        sys.stdout.write(text)
+    if not output:
+        _render(config, header, rows, summary, sys.stdout)
+        return
+    try:
+        with open(output, "w", newline="") as fh:
+            _render(config, header, rows, summary, fh)
+    except OSError as exc:
+        raise InvalidConfig(f"output: {exc}") from None
 
 
 def _thresholds(config: ExperimentConfig) -> ClassificationThresholds:

@@ -60,9 +60,9 @@ def coefficients(ctx: KernelContext, f: FunctionSpec) -> CoefficientTable:
     midpoints: an ``(n, cells)`` table instead of ``(n, nodes)``.
     """
     system, n = ctx.system, ctx.n
-    rule = ctx.rule.with_breakpoints(f.breakpoints) if f.breakpoints else ctx.rule
+    rule = ctx.rule.with_breakpoints(f.breakpoints)
     if system.piecewise_constant:
-        edges = np.array([0.0, *ctx.rule.breakpoints, 1.0])
+        edges = np.concatenate(([0.0], ctx.rule.breakpoints, [1.0]))
         cells = cell_integrals(f.eval, edges[1:], rule)
         table = eval_matrix(system, n, (edges[:-1] + edges[1:]) / 2.0)
         return CoefficientTable(system, f, table @ cells)
@@ -123,7 +123,7 @@ def partial_sum_by_parts(ctx: KernelContext, table: CoefficientTable,
         raise InvalidConfig(f"table: coefficients against {table.system.name!r}"
                             f", but the context's system is {ctx.system.name!r}")
     lhs = partial_sum(table, ctx.n, x)
-    quad_rule = ctx.rule.with_breakpoints(f.breakpoints) if f.breakpoints else ctx.rule
+    quad_rule = ctx.rule.with_breakpoints(f.breakpoints)
     boundary = f.value_at_1 * dirichlet_mean(ctx, x)
     deriv, kernel = f.deriv, _section(ctx, x)
     derivative_term = integrate(
@@ -181,7 +181,7 @@ def summation_identity(f: FunctionSpec, F: Union[Callable, FunctionSpec],
     F_eval = F.eval if isinstance(F, FunctionSpec) else F
     F_breaks = F.breakpoints if isinstance(F, FunctionSpec) else ()
     rule = QuadratureRule(order=16, panels=8).with_breakpoints(
-        (*f.breakpoints, *F_breaks))
+        np.concatenate((f.breakpoints, F_breaks)))
 
     deriv = f.deriv
 

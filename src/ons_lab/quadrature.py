@@ -32,7 +32,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -54,9 +54,11 @@ _ZERO_XTOL = 1e-15
 _ZERO_RTOL = 4 * np.finfo(float).eps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Configuration for composite Gauss-Legendre integration.
+
+    Rules compare by identity: their breakpoints are an array.
 
     Parameters
     ----------
@@ -65,14 +67,15 @@ class QuadratureRule:
         integrates polynomials of degree ``2p - 1`` exactly per panel.
     panels : int
         Uniform panels laid between each pair of adjacent breakpoints.
-    breakpoints : tuple of float
+    breakpoints : sequence of float
         Strictly increasing points in [0, 1] that every panel boundary
-        must respect; declare jump or kink locations here.
+        must respect; declare jump or kink locations here.  Stored as a
+        read-only float64 copy, which readers slice without converting.
     """
 
     order: int = 16
     panels: int = 1
-    breakpoints: tuple[float, ...] = ()
+    breakpoints: np.ndarray = ()
 
     def __post_init__(self):
         if self.order < 2:
@@ -81,16 +84,21 @@ class QuadratureRule:
             raise ValueError("panels must be >= 1")
         # each test asks for what must hold, so a NaN (false in every
         # comparison) fails it
-        pts = np.asarray(self.breakpoints, dtype=float)
+        pts = np.array(self.breakpoints, dtype=float)
         if not np.all(pts[1:] > pts[:-1]):
             raise ValueError("breakpoints must be strictly increasing")
         if not np.all((pts >= 0.0) & (pts <= 1.0)):
             raise ValueError("breakpoints must lie within [0, 1]")
-        object.__setattr__(self, "breakpoints", tuple(pts.tolist()))
+        pts.flags.writeable = False
+        object.__setattr__(self, "breakpoints", pts)
 
-    def with_breakpoints(self, extra: Iterable[float]) -> "QuadratureRule":
-        """Return a copy whose breakpoint set also contains ``extra``."""
-        merged = np.unique(np.concatenate((self.breakpoints, list(extra))))
+    def with_breakpoints(self, extra: Sequence[float]) -> "QuadratureRule":
+        """Return a rule whose breakpoint set also contains ``extra``: this
+        rule itself when ``extra`` is empty."""
+        extra = np.asarray(extra, dtype=float)
+        if extra.size == 0:
+            return self
+        merged = np.unique(np.concatenate((self.breakpoints, extra)))
         return dataclasses.replace(
             self, breakpoints=merged[(merged >= 0.0) & (merged <= 1.0)])
 
@@ -155,8 +163,8 @@ def cell_mesh(grid: Sequence[float], rule: QuadratureRule, panels: int):
 
 
 def _inner_breakpoints(rule: QuadratureRule, a: float, b: float) -> np.ndarray:
-    """The breakpoints of ``rule`` strictly between a and b."""
-    bps = np.asarray(rule.breakpoints, dtype=float)
+    """The breakpoints of ``rule`` strictly between a and b, as a view."""
+    bps = rule.breakpoints
     return bps[np.searchsorted(bps, a, "right"):np.searchsorted(bps, b, "left")]
 
 

@@ -17,7 +17,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -92,15 +92,16 @@ class FunctionSpec:
 
     ``class_tag`` is one of ``continuous``, ``Lip1`` (bounded difference
     quotients) or ``CL`` (derivative present with bounded difference
-    quotients of its own).  ``breakpoints`` lists kink/jump points so that
-    quadrature of products with system elements stays accurate.
+    quotients of its own).  ``breakpoints`` lists kink/jump points, as any
+    float sequence, so that quadrature of products with system elements
+    stays accurate.
     """
 
     name: str
     eval: Callable
     deriv: Optional[Callable]
     class_tag: str
-    breakpoints: tuple[float, ...] = ()
+    breakpoints: Sequence[float] = ()
 
     @property
     def value_at_1(self) -> float:
@@ -375,33 +376,6 @@ def _bump_deriv(u):
     return 4.0 * np.pi * np.sin(4.0 * np.pi * (np.asarray(u, dtype=float) - 0.5))
 
 
-def _make_one() -> FunctionSpec:
-    return FunctionSpec(
-        name="one",
-        eval=lambda u: np.ones_like(np.asarray(u, dtype=float)),
-        deriv=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
-        class_tag="CL",
-    )
-
-
-def _make_id() -> FunctionSpec:
-    return FunctionSpec(
-        name="id",
-        eval=lambda u: np.asarray(u, dtype=float),
-        deriv=lambda u: np.ones_like(np.asarray(u, dtype=float)),
-        class_tag="CL",
-    )
-
-
-def _make_cos_bump() -> FunctionSpec:
-    return FunctionSpec(
-        name="cos-bump",
-        eval=_bump,
-        deriv=_bump_deriv,
-        class_tag="CL",
-    )
-
-
 def _compressed_bump(name: str, scale: float,
                      breakpoints: tuple[float, ...]) -> FunctionSpec:
     # bump squeezed into [0, 1/scale), zero after; C^1 across the joint
@@ -418,42 +392,38 @@ def _compressed_bump(name: str, scale: float,
                         class_tag="CL", breakpoints=breakpoints)
 
 
-def _make_half_square() -> FunctionSpec:
-    return FunctionSpec(
-        name="half-square",
-        eval=lambda u: np.asarray(u, dtype=float) ** 2 / 2.0,
-        deriv=lambda u: np.asarray(u, dtype=float),
-        class_tag="CL",
-    )
-
-
-_FUNCTION_BUILDERS = {
-    "one": _make_one,
-    "id": _make_id,
-    "cos-bump": _make_cos_bump,
-    "g-compressed": lambda: _compressed_bump("g-compressed", 2.0, (0.5,)),
-    "h-compressed": lambda: _compressed_bump("h-compressed", 4.0,
-                                             (0.25, 0.5)),
-    "half-square": _make_half_square,
-}
+#: The named test functions, built once: specs are frozen and their
+#: callables keep no state, so every lookup shares them.
+_FUNCTIONS = {spec.name: spec for spec in (
+    FunctionSpec("one", lambda u: np.ones_like(np.asarray(u, dtype=float)),
+                 lambda u: np.zeros_like(np.asarray(u, dtype=float)), "CL"),
+    FunctionSpec("id", lambda u: np.asarray(u, dtype=float),
+                 lambda u: np.ones_like(np.asarray(u, dtype=float)), "CL"),
+    FunctionSpec("cos-bump", _bump, _bump_deriv, "CL"),
+    _compressed_bump("g-compressed", 2.0, (0.5,)),
+    _compressed_bump("h-compressed", 4.0, (0.25, 0.5)),
+    FunctionSpec("half-square",
+                 lambda u: np.asarray(u, dtype=float) ** 2 / 2.0,
+                 lambda u: np.asarray(u, dtype=float), "CL"),
+)}
 
 
 def get_function(name: str) -> FunctionSpec:
     """Resolve a catalog function by name."""
     key = name.strip()
     try:
-        return _FUNCTION_BUILDERS[key]()
+        return _FUNCTIONS[key]
     except KeyError:
         raise UnknownFunction(f"unknown function name: {name!r}") from None
 
 
 def function_names() -> list[str]:
-    return list(_FUNCTION_BUILDERS)
+    return list(_FUNCTIONS)
 
 
 def function_catalog() -> list[FunctionSpec]:
     """All named test functions, in registry order."""
-    return [build() for build in _FUNCTION_BUILDERS.values()]
+    return list(_FUNCTIONS.values())
 
 
 # ---------------------------------------------------------------------------
@@ -475,11 +445,14 @@ def element_breakpoints(system: SystemHandle, k: int) -> np.ndarray:
     return (starts[:, None] + np.concatenate(([0.0], jumps))).ravel()[1:]
 
 
-def breakpoints_upto(system: SystemHandle, k_max: int) -> tuple:
-    """Sorted union of element breakpoints for indices 1..k_max."""
-    return tuple(np.unique(np.concatenate(
+def breakpoints_upto(system: SystemHandle, k_max: int) -> np.ndarray:
+    """Sorted union of element breakpoints for indices 1..k_max, as one
+    read-only float64 array."""
+    union = np.unique(np.concatenate(
         [np.empty(0)] + [element_breakpoints(system, k)
-                         for k in range(1, k_max + 1)])).tolist())
+                         for k in range(1, k_max + 1)]))
+    union.flags.writeable = False
+    return union
 
 
 def recommended_rule(system: SystemHandle, k_max: int) -> QuadratureRule:

@@ -7,6 +7,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from ons_lab.cli import (
     FLAGS,
     REGISTRY,
     ExperimentConfig,
+    _render,
     build_parser,
     config_from_namespace,
     main,
@@ -224,6 +226,69 @@ class TestOutputFormats:
         assert code == 0
         out = capsys.readouterr().out
         assert out.startswith("j,k,value")
+
+
+#: Rows and a summary that exercise the JSON encoder: numpy scalars,
+#: booleans, NaN, and strings holding quotes, newlines and the rows key.
+_JSON_HEADER = ("name", "i", "value", "ok")
+_JSON_SUMMARY = {"note": 'a "rows": [] b\nc', "rows": [], "pass": True}
+
+
+def _json_rows(count):
+    return [(f'r"{i}\n', np.int64(i), np.float64(i) / 3 if i % 5 else np.nan,
+             bool(i % 2)) for i in range(count)]
+
+
+class TestJsonBlocks:
+    # the whole payload dumped at once is the reference the block writer
+    # must reproduce byte for byte
+    @pytest.mark.parametrize("count", [0, 1, 256, 257])
+    def test_blocks_are_the_whole_payload_dump(self, count):
+        config = ExperimentConfig("gram", {"format": "json"})
+        payload = {"config": {"command": "gram", **config.values},
+                   "rows": [dict(zip(_JSON_HEADER, row))
+                            for row in _json_rows(count)],
+                   "summary": _JSON_SUMMARY}
+        want = json.dumps(payload, indent=2, default=np.generic.item) + "\n"
+        out = io.StringIO()
+        _render(config, _JSON_HEADER, iter(_json_rows(count)), _JSON_SUMMARY,
+                out)
+        assert out.getvalue() == want
+
+    def test_first_write_comes_before_all_rows_are_made(self):
+        pulled, writes = [], []
+
+        class Recording(io.StringIO):
+            def write(self, text):
+                writes.append(len(pulled))
+                return super().write(text)
+
+        def rows():
+            for row in _json_rows(1000):
+                pulled.append(row)
+                yield row
+
+        out = Recording()
+        _render(ExperimentConfig("gram", {"format": "json"}), _JSON_HEADER,
+                rows(), _JSON_SUMMARY, out)
+        assert writes[0] == 0 and writes[1] < 1000 and len(pulled) == 1000
+        assert len(json.loads(out.getvalue())["rows"]) == 1000
+
+    def test_gram_json_is_every_entry(self, tmp_path):
+        code, path = run_cli(["gram", "--system", "haar", "--n", "17",
+                              "--format", "json"], tmp_path)
+        assert code == 0
+        rows = json.loads(path.read_text())["rows"]
+        assert [(r["j"], r["k"]) for r in rows] == [
+            (j, k) for j in range(1, 18) for k in range(1, 18)]
+
+    def test_unwritable_output_is_one_line_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "no-such-dir" / "out.json"
+        assert main(["gram", "--n", "2", "--format", "json",
+                     "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ons-lab: error: output: ")
+        assert err.count("\n") == 1
 
 
 class TestConfigFile:
@@ -656,6 +721,60 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("ons-lab: error: config: cannot read")
         assert err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# tolerance and threshold flags refuse NaN and keep infinity
+# ---------------------------------------------------------------------------
+
+#: Every (command, flag) pair of a tolerance or threshold flag.
+NAN_FLAGS = [(command, key) for command, entry in REGISTRY.items()
+             for key in entry.reads
+             if key in ("check_tol", "halving_tol", "slope_bounded",
+                        "slope_growing", "plateau_rise")]
+
+
+class TestNanFlags:
+    def test_every_tolerance_and_threshold_flag_is_covered(self):
+        assert {key for _, key in NAN_FLAGS} == {
+            "check_tol", "halving_tol", "slope_bounded", "slope_growing",
+            "plateau_rise"}
+        assert {command for command, _ in NAN_FLAGS} == set(COMMANDS) - {
+            "eq11", "partial-sums"}
+
+    @pytest.mark.parametrize("command,key", NAN_FLAGS)
+    def test_on_the_command_line_exits_one(self, command, key, tmp_path,
+                                           capsys):
+        code, path = run_cli([command, "--" + key.replace("_", "-"), "nan"],
+                             tmp_path)
+        assert code == 1 and not path.exists()
+        assert capsys.readouterr().err == (
+            f"ons-lab: error: {key}: must be a number, got nan\n")
+
+    @pytest.mark.parametrize("command,key", NAN_FLAGS)
+    def test_in_a_config_file_exits_one(self, command, key, tmp_path,
+                                        capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}=NaN\n")
+        assert main([command, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"ons-lab: error: {key}: must be a number, got nan\n")
+
+    @pytest.mark.parametrize("command,key", NAN_FLAGS)
+    def test_in_a_config_object_is_refused(self, command, key):
+        with pytest.raises(InvalidConfig,
+                           match=f"^{key}: must be a number, got nan$"):
+            ExperimentConfig(command, {key: float("nan")})
+        # infinity means no bound
+        for value in (float("inf"), -float("inf")):
+            assert ExperimentConfig(command, {key: value}).values[key] == value
+
+    def test_infinite_tolerance_passes(self, tmp_path):
+        code, path = run_cli(["gram", "--system", "cosine", "--n", "4",
+                              "--check-tol", "inf", "--format", "json"],
+                             tmp_path)
+        assert code == 0
+        assert json.loads(path.read_text())["summary"]["pass"] is True
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 import math
 from dataclasses import replace
+from functools import partial
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CATALOG, STEP_CATALOG, riemann_midpoint
+from conftest import (CATALOG, STEP_CATALOG, haar_antideriv2_exact,
+                      rademacher_antideriv2_exact, riemann_midpoint)
 from ons_lab import (
     KernelContext,
     QuadratureRule,
@@ -165,6 +168,90 @@ class TestBoundednessFunctional:
             fast = boundedness_functional(ctx, x)
             slow = boundedness_functional_naive(ctx, x)
             assert abs(fast - slow) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# exact rational M_n for the step catalog systems
+# ---------------------------------------------------------------------------
+#
+# Every double is a dyadic rational, and a step element is +-amp or 0 with
+# amp^2 a power of two, while its second antiderivative is amp times a
+# rational.  So phi_k(x) A2_k(i/n) is rational at the doubles x and i/n the
+# fast path sees, and M_n(x) has an exact Fraction value.  A system is its
+# base ("haar" or "rademacher") and how often it is reflected.
+
+_HALF = Fraction(1, 2)
+
+
+def _exact_sign(base: str, reflections: int, k: int, x: Fraction) -> int:
+    """phi_k(x) / amp_k: -1, 0 or 1, right-continuous, left limit at 1."""
+    if reflections:
+        if x < _HALF:
+            return _exact_sign(base, reflections - 1, k, 2 * x)
+        return -_exact_sign(base, reflections - 1, k, 2 * x - 1)
+    if base == "rademacher":
+        return -1 if x == 1 or (x * (1 << k)) // 1 % 2 else 1
+    if k == 1:
+        return 1
+    block = 1 << ((k - 1).bit_length() - 1)
+    j = k - block
+    a, b = Fraction(j - 1, block), Fraction(j, block)
+    c = (a + b) / 2
+    if a <= x < c:
+        return 1
+    return -1 if c <= x < b or x == b == 1 else 0
+
+
+def _exact_shape2(base: str, reflections: int, k: int, u: Fraction):
+    """A2_k(u) / amp_k; a reflection gives A2_B(2u) / 4 on [0, 1/2) and
+    A2_B(1) / 4 + A1_B(1) (u - 1/2) / 2 - A2_B(2u - 1) / 4 after."""
+    if reflections:
+        inner = partial(_exact_shape2, base, reflections - 1, k)
+        if u < _HALF:
+            return inner(2 * u) / 4
+        # A1_B(1) is the mean of B_k: 1 for the Haar element 1, else 0
+        mean = int(base == "haar" and reflections == 1 and k == 1)
+        return inner(Fraction(1)) / 4 + mean * (u - _HALF) / 2 \
+            - inner(2 * u - 1) / 4
+    if base == "rademacher":
+        return rademacher_antideriv2_exact(k, u)
+    return haar_antideriv2_exact(k, u)
+
+
+def _amp_squared(base: str, k: int) -> int:
+    return 1 << ((k - 1).bit_length() - 1) if base == "haar" and k > 1 else 1
+
+
+class TestExactStepOracle:
+    # the fast value against the exact one, within 8 eps times the exact
+    # mean of |phi_k(x) A2_k(i/n)| summed over k: a relative bound alone
+    # fails where M_n is 0 or tiny (haar, n = 64, x = 1 is exactly 0)
+    @pytest.mark.parametrize("reflections", [0, 1, 2])
+    @pytest.mark.parametrize("base,n", [
+        ("haar", 7), ("haar", 64), ("haar", 200),
+        ("rademacher", 7), ("rademacher", 24), ("rademacher", 48)])
+    def test_boundedness_functional_matches_fractions(self, base, n,
+                                                      reflections):
+        name = (base, f"reflect({base})", f"reflect2({base})")[reflections]
+        ctx = KernelContext(get_system(name), n)
+        us = [Fraction(i / n) for i in range(1, n)]
+        rows = {}           # exact A2_k / amp_k on the mesh, shared by every x
+        rng = np.random.default_rng(n)
+        for x in (0.0, 1.0, 0.5, *rng.random(2).tolist()):
+            terms = []
+            for k in range(1, n + 1):
+                weight = _exact_sign(base, reflections, k, Fraction(x)) \
+                    * _amp_squared(base, k)
+                if weight:
+                    if k not in rows:
+                        rows[k] = [_exact_shape2(base, reflections, k, u)
+                                   for u in us]
+                    terms.append([weight * a2 for a2 in rows[k]])
+            exact = sum(abs(sum(col)) for col in zip(*terms)) / n
+            unit = sum(abs(t) for row in terms for t in row) / n
+            got = boundedness_functional(ctx, x)
+            assert abs(Fraction(got) - exact) <= (
+                8 * Fraction(np.finfo(float).eps) * unit), (name, n, x)
 
 
 class TestBesselBound:
@@ -413,7 +500,7 @@ class TestNumericAntiderivativeFallback:
             boundedness_functional(ctx, x)
         # the rule is a cached property, stored in the instance once built
         assert "rule" not in vars(ctx) and ctx._prefix_table is None
-        assert ctx.rule.breakpoints            # still available on demand
+        assert ctx.rule.breakpoints.size       # still available on demand
 
     def test_cosine_context_builds_no_table(self):
         ctx = KernelContext(cosine_system(), 64)

@@ -16,7 +16,8 @@ from ons_lab import (
     integrate_abs,
     recommended_rule,
 )
-from ons_lab.quadrature import _SAMPLE_BLOCK, _refine_zeros
+from ons_lab.quadrature import (_SAMPLE_BLOCK, _inner_breakpoints,
+                                _refine_zeros)
 
 
 def haar_x2(u):
@@ -99,14 +100,33 @@ class TestRuleValidation:
         with pytest.raises(ValueError, match=message):
             QuadratureRule(breakpoints=bps)
 
-    def test_breakpoints_are_stored_as_python_floats(self):
-        rule = QuadratureRule(breakpoints=np.arange(1, 4) / 4)
-        assert rule.breakpoints == (0.25, 0.5, 0.75)
-        assert all(type(p) is float for p in rule.breakpoints)
+    def test_breakpoints_are_a_read_only_float64_copy(self):
+        given = np.arange(1, 4) / 4
+        rule = QuadratureRule(breakpoints=given)
+        given[0] = 0.0
+        assert rule.breakpoints.dtype == np.float64
+        assert rule.breakpoints.tolist() == [0.25, 0.5, 0.75]
+        assert not np.shares_memory(rule.breakpoints, given)
+        with pytest.raises(ValueError, match="read-only"):
+            rule.breakpoints[0] = 0.0
+        # equality of an array field is undefined, so rules compare by
+        # identity
+        assert rule == rule and rule != QuadratureRule(breakpoints=given)
 
     def test_with_breakpoints_merges_sorted(self):
         rule = QuadratureRule(breakpoints=(0.5,)).with_breakpoints([0.25, 0.75])
-        assert rule.breakpoints == (0.25, 0.5, 0.75)
+        assert rule.breakpoints.tolist() == [0.25, 0.5, 0.75]
+
+    @pytest.mark.parametrize("extra", [(), [], np.empty(0)])
+    def test_with_no_breakpoints_is_the_rule_itself(self, extra):
+        rule = QuadratureRule(breakpoints=(0.5,))
+        assert rule.with_breakpoints(extra) is rule
+
+    def test_inner_breakpoints_are_a_view(self):
+        rule = QuadratureRule(breakpoints=np.arange(1, 16) / 16)
+        inner = _inner_breakpoints(rule, 0.25, 0.75)
+        assert inner.tolist() == (np.arange(5, 12) / 16).tolist()
+        assert np.shares_memory(inner, rule.breakpoints)
 
 
 class TestPolynomialExactness:

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CATALOG, STEP_CATALOG, gram_tolerance
+from conftest import (CATALOG, STEP_CATALOG, gram_tolerance,
+                      haar_antideriv2_exact, rademacher_antideriv2_exact)
 from ons_lab import (
     InvalidConfig,
     OnsLabError,
@@ -17,6 +18,7 @@ from ons_lab import (
     cosine_system,
     cumulative_integral,
     function_catalog,
+    function_names,
     get_function,
     get_system,
     gram_matrix,
@@ -259,7 +261,7 @@ class TestRecommendedRule:
         assert sys_.piecewise_constant == step
         assert rule.order == 16
         assert rule.panels == (2 if step else max(4, k))
-        assert rule.breakpoints == breakpoints_upto(sys_, k)
+        assert rule.breakpoints.tolist() == breakpoints_upto(sys_, k).tolist()
 
 
 #: Every jump checked against _exact_jumps is a multiple of 2^-_DEPTH.
@@ -305,12 +307,13 @@ class TestBreakpointLists:
                 want = np.ldexp(np.array(sorted(union), dtype=float),
                                 -_DEPTH)
                 got = breakpoints_upto(sys_, k)
-                assert all(type(p) is float for p in got)
+                assert got.dtype == np.float64 and not got.flags.writeable
                 assert np.array_equal(np.array(got).view(np.int64),
                                       want.view(np.int64)), (name, k)
 
     def test_no_elements_give_no_breakpoints(self):
-        assert breakpoints_upto(haar_system(), 0) == ()
+        none = breakpoints_upto(haar_system(), 0)
+        assert none.dtype == np.float64 and none.tolist() == []
 
     def test_repeats_tile_the_first_repetition(self):
         # three repetitions, each jumping at its middle
@@ -373,27 +376,6 @@ def _dyadic_points():
     return st.one_of(grid, st.floats(0.0, 1.0).map(Fraction))
 
 
-def _haar_antideriv2_exact(m: int, u: Fraction) -> Fraction:
-    """int_0^u int_0^t X_m, divided by the amplitude 2^(s/2) for m >= 2."""
-    if m == 1:
-        return u * u / 2
-    block = 1 << ((m - 1).bit_length() - 1)
-    j = m - block
-    a, b = Fraction(j - 1, block), Fraction(j, block)
-    c, half = (a + b) / 2, Fraction(1, 2 * block)
-    v = min(max(u, a), b)
-    return (v - a) ** 2 / 2 if v < c else half * half - (b - v) ** 2 / 2
-
-
-def _rademacher_antideriv2_exact(k: int, u: Fraction) -> Fraction:
-    period = Fraction(1, 1 << (k - 1))
-    whole = u // period
-    y = u - whole * period
-    within = (y * y / 2 if y < period / 2
-              else period * period / 4 - (period - y) ** 2 / 2)
-    return whole * period * period / 4 + within
-
-
 def _assert_close(got: float, exact: float) -> None:
     assert abs(got - exact) <= 8 * np.finfo(float).eps * abs(exact) + 1e-300
 
@@ -403,13 +385,13 @@ class TestSecondAntiderivativeExact:
     @given(m=st.integers(1, 4096), u=_dyadic_points())
     def test_haar_matches_fraction_oracle(self, m, u):
         amp = 1.0 if m == 1 else np.sqrt(2.0 ** ((m - 1).bit_length() - 1))
-        exact = amp * float(_haar_antideriv2_exact(m, u))
+        exact = amp * float(haar_antideriv2_exact(m, u))
         _assert_close(float(haar_system().antideriv2(m, float(u))), exact)
 
     @settings(max_examples=200, deadline=None)
     @given(k=st.integers(1, 60), u=_dyadic_points())
     def test_rademacher_matches_fraction_oracle(self, k, u):
-        exact = float(_rademacher_antideriv2_exact(k, u))
+        exact = float(rademacher_antideriv2_exact(k, u))
         _assert_close(float(rademacher_system().antideriv2(k, float(u))),
                       exact)
 
@@ -431,7 +413,7 @@ class TestRademacherLargeIndex:
         # the triangle wave min(y, p - y) is exact on doubles
         y = u % period
         assert first == float(min(y, period - y))
-        _assert_close(float(second), float(_rademacher_antideriv2_exact(k, u)))
+        _assert_close(float(second), float(rademacher_antideriv2_exact(k, u)))
 
     @pytest.mark.parametrize("u", [7.18e-286, 5e-324, 0.1, 0.210365])
     def test_antideriv_keeps_tiny_and_decimal_points_exact(self, u):
@@ -606,6 +588,13 @@ class TestFunctionCatalog:
     def test_compressed_bump_continuous_at_joint(self):
         g = get_function("g-compressed")
         assert abs(float(g.eval(0.5 - 1e-9)) - float(g.eval(0.5))) < 1e-6
+
+    @pytest.mark.parametrize("name", function_names())
+    def test_specs_are_built_once_and_shared(self, name):
+        spec = get_function(name)
+        assert get_function(name) is spec
+        assert get_function(f" {name} ") is spec
+        assert [s for s in function_catalog() if s.name == name][0] is spec
 
 
 def test_system_values_matches_scalar_eval():
