@@ -19,7 +19,9 @@ from .errors import InvalidConfig
 from .fourier import CoefficientTable, coefficients, partial_sum_sweep
 from .kernels import (
     KernelContext,
-    _prefix_rows,
+    _cell_rule,
+    _live_rows,
+    _rows,
     _section,
     boundedness_functional,
 )
@@ -279,7 +281,7 @@ def prefix_mean_linkage(system: SystemHandle, x: float, n_max: int,
     ctx = KernelContext(system, n_max)
     ks = np.arange(1, n_max + 1)
     phi_means = ctx.g_values(ks, [1.0])[:, 0]
-    g_means = _prefix_rows(ctx, ks, [1.0])[:, 0]
+    g_means = _rows(ctx, 2, ks, [1.0])[:, 0]
     b_vals = np.abs(np.cumsum(phi_means * phi_x))
     q_vals = np.abs(np.cumsum(g_means * phi_x))
     ns = np.arange(1, n_max + 1)
@@ -317,8 +319,8 @@ def extremal_lipschitz(ctx: KernelContext, t: float,
                             f"grid_size >= 64, got {grid_size}")
     _check_x(t, "t")
     ys = np.linspace(0.0, 1.0, grid_size + 1)
-    rows = _prefix_rows(ctx, np.arange(1, ctx.n + 1), ys)
-    phi_t = system_values(ctx.system, ctx.n, t)
+    ks, phi_t = _live_rows(ctx, t)
+    rows = _rows(ctx, 2, ks, ys)
     prefix = rows.T @ phi_t
     noise = 4 * ctx.n * np.finfo(float).eps * (np.abs(rows.T) @ np.abs(phi_t))
     slopes = np.where(np.abs(prefix) <= noise, 0.0, np.sign(prefix))
@@ -362,11 +364,11 @@ def pairing_split(ctx: KernelContext, f: FunctionSpec, t: float) -> PairingSplit
     The three pieces are the Abel-summed boundary differences against the
     prefix integrals, the within-cell variation term, and the endpoint
     term ``f(1) * int_0^1 Q``; their sum reproduces the direct pairing
-    exactly in exact arithmetic.
+    exactly in exact arithmetic.  Cells take cell-sized panels.
     """
     _check_x(t, "t")
     n = ctx.n
-    rule = ctx.rule.with_breakpoints(f.breakpoints)
+    rule = _cell_rule(ctx.rule, 1.0 / n).with_breakpoints(f.breakpoints)
     grid = np.arange(1, n + 1) / n
     kernel = _section(ctx, t)
 

@@ -175,17 +175,22 @@ def _render(config: ExperimentConfig, header, rows, summary, out) -> None:
         out.write(buf.getvalue())
         return
     # numpy scalars that are not Python numbers already become their item()
-    dump = partial(json.dumps, indent=2, default=np.generic.item)
+    dump = partial(json.dumps, default=np.generic.item)
     payload = {"config": {"command": config.command, **config.values},
                "rows": [], "summary": summary}
     # the marker cannot occur inside a string, whose quotes are escaped
-    head, tail = dump(payload).split('"rows": []', 1)
+    head, tail = dump(payload, indent=2).split('"rows": []', 1)
     out.write(head + '"rows": [')
+    # rows fill indent=2's layout with cells that the C encoder (indent rules
+    # it out) makes a column at a time; strings escape "\0", so it splits them
+    keys = ["\n      " + json.dumps(key) + ": " for key in header]
     rows, sep = iter(rows), "\n"
-    while block := [dict(zip(header, row))
-                    for row in itertools.islice(rows, _ROW_BLOCK)]:
-        # a block's items, one level deeper than in their own list
-        out.write(sep + "  " + dump(block)[2:-2].replace("\n", "\n  "))
+    while block := list(itertools.islice(rows, _ROW_BLOCK)):
+        columns = [dump(list(c), separators=("\0", ": "))[1:-1].split("\0")
+                   for c in zip(*block)]
+        out.write(sep + ",\n".join(
+            "    {" + ",".join(map(str.__add__, keys, row)) + "\n    }"
+            for row in zip(*columns)))
         sep = ",\n"
     out.write(("]" if sep == "\n" else "\n  ]") + tail + "\n")
 
@@ -365,11 +370,13 @@ def _run_mn_sweep(config: ExperimentConfig):
     reports = analysis.boundedness_experiment(
         system, config.values["x"], config.values["n_max"],
         _thresholds(config))
-    rows, summary = _sweep_rows(reports.items())
+    # one report per given point, repeats and -0.0 included
+    per_x = [(x, reports[float(x)]) for x in config.values["x"]]
+    rows, summary = _sweep_rows(per_x)
     if REGISTRY[config.command].system is None:
         return rows, summary, 0
     # theorem5 and theorem6 claim M_n(x) bounded for their fixed system
-    ok = all(rep.classification != "growing" for rep in reports.values())
+    ok = all(rep.classification != "growing" for _, rep in per_x)
     return rows, {"system": system.name, **summary}, (0 if ok else 2)
 
 

@@ -12,11 +12,12 @@ mesh ``i/n``:
 which stays O(1) in ``n`` exactly for the well-behaved systems the
 experiments target.
 
-Every prefix integral of the kernel is a weighted sum of rows
-``int_0^t g_k``, one per index k, and every such row comes from
-:func:`_prefix_rows` on a sorted grid of t: the closed-form second
-antiderivative when the system has one, and otherwise one row-valued
-:func:`cumulative_integral` pass over ``g_k`` with cell-sized panels.
+Rows of ``phi_k``, ``g_k`` and ``int_0^t g_k`` are the rungs 0, 1 and 2
+of one ladder, :func:`_rows`: a rung's closed form, or else one
+:func:`cumulative_integral` pass over the rung below with cell-sized
+panels.  A kernel section of order 0, 1 or 2 (the Dirichlet-type kernel,
+the antiderivative kernel, its prefix integral) sums one rung's rows where
+``phi_k(x) != 0``, weighted by ``phi_k(x)``.
 On the mesh ``i/n`` the cosine system, whose second antiderivatives are
 ``c_k (1 - cos 2 pi k u)``, skips the rows: all n prefixes are one real
 FFT of length n, O(n log n) per ``(n, x)``.  A Haar ``phi(x)`` has few
@@ -32,7 +33,7 @@ construction apart from those two caches; evaluations are pure.
 Step systems with closed-form antiderivatives need no quadrature for the
 kernel integrals over ``u``: ``Q_n(., x)`` is linear between breakpoints,
 so the Lemma 3 cell integrals of ``|Q_n|`` are sums over its values at
-breakpoints, and the Dirichlet-kernel mean is ``sum phi_k(x) g_k(1)``.
+breakpoints.
 """
 
 from __future__ import annotations
@@ -86,56 +87,48 @@ class KernelContext:
         """Quadrature rule for indices up to ``n``, built on first access."""
         return recommended_rule(self.system, self.n)
 
-    # -- antiderivative evaluation -------------------------------------
-
     def g_values(self, ks: Sequence[int], us: np.ndarray) -> np.ndarray:
-        """Table ``G[r, j] = g_{ks[r]}(us[j])``, closed form or else one
-        :func:`_cell_cumulative` pass with the rule for indices <= n."""
-        if self.system.antideriv is not None:
-            return index_table(self.system.antideriv, ks, us)
-        us = np.atleast_1d(np.asarray(us, dtype=float))
-        out = np.zeros((len(ks), len(us)))
-        if len(us):
-            order = np.argsort(us, kind="stable")
-            out[:, order] = _cell_cumulative(
-                partial(index_table, self.system.eval, ks), us[order],
-                self.rule)
-        return out
-
-    # -- shared tables -------------------------------------------------
+        """Table ``G[r, j] = g_{ks[r]}(us[j])``: rung 1 of :func:`_rows`."""
+        return _rows(self, 1, ks, us)
 
     def prefix_table(self) -> np.ndarray:
         """``int_0^{i/n} g_k`` for every index k and mesh point i/n, cached."""
         if self._prefix_table is None:
             ks = np.arange(1, self.n + 1)
-            self._prefix_table = _prefix_rows(self, ks, ks / self.n)
+            self._prefix_table = _rows(self, 2, ks, ks / self.n)
         return self._prefix_table
 
 
-def _prefix_rows(ctx: KernelContext, ks: np.ndarray, ts) -> np.ndarray:
-    """Rows ``R[r, j] = int_0^{ts[j]} g_{ks[r]}`` on a sorted grid in [0, 1].
+def _rows(ctx: KernelContext, order: int, ks, us) -> np.ndarray:
+    """Rows ``R[r, j]`` of rung ``order`` of the ladder at ``us[j]``, for
+    index ``ks[r]``: ``phi_k`` (0), ``g_k = int_0^u phi_k`` (1) or
+    ``int_0^u g_k`` (2).
 
-    The one place prefix integrals of ``g_k`` are made: the closed-form
-    second antiderivative when the system has one, otherwise one
-    :func:`_cell_cumulative` pass over the ``g_k`` rows.
+    The one place such rows are made: the system's closed form for that
+    rung, and otherwise one :func:`cumulative_integral` pass over the rung
+    below, on the sorted points with the widest cell's :func:`_cell_rule`.
     """
-    if ctx.system.antideriv2 is not None:
-        return index_table(ctx.system.antideriv2, ks, ts)
-    return _cell_cumulative(partial(ctx.g_values, ks), ts, ctx.rule)
-
-
-def _cell_cumulative(f, ts, rule: QuadratureRule) -> np.ndarray:
-    """:func:`cumulative_integral` of f on a sorted grid with the widest
-    cell's :func:`_cell_rule`."""
-    return cumulative_integral(
-        f, ts, _cell_rule(rule, np.diff(ts, prepend=0.0).max()))
+    closed = (ctx.system.eval, ctx.system.antideriv,
+              ctx.system.antideriv2)[order]
+    if closed is not None:
+        return index_table(closed, ks, us)
+    us = np.atleast_1d(np.asarray(us, dtype=float))
+    out = np.zeros((len(ks), len(us)))
+    if len(us):
+        sort = np.argsort(us, kind="stable")
+        ts = us[sort]
+        out[:, sort] = cumulative_integral(
+            partial(_rows, ctx, order - 1, ks), ts,
+            _cell_rule(ctx.rule, np.diff(ts, prepend=0.0).max()))
+    return out
 
 
 def _cell_rule(rule: QuadratureRule, width: float) -> QuadratureRule:
     """The rule with, per breakpoint segment, the share of its panels for
     [0, 1] that falls on a cell of the given width, at least two.  A width
     that exceeds a share only by the rounding of a grid's differences keeps
-    that share."""
+    that share.  Every kernel pass over the cells of a grid takes it.
+    """
     return dataclasses.replace(
         rule, panels=max(2, math.ceil(rule.panels * width * (1.0 - 1e-9))))
 
@@ -146,7 +139,7 @@ def _cell_rule(rule: QuadratureRule, width: float) -> QuadratureRule:
 
 def dirichlet_kernel(ctx: KernelContext, u, x: float):
     """Kernel ``sum_{k<=n} phi_k(u) phi_k(x)``."""
-    return _section(ctx, x, dirichlet=True)(u)
+    return _section(ctx, x, 0)(u)
 
 
 def antiderivative_kernel(ctx: KernelContext, u, x: float):
@@ -154,16 +147,16 @@ def antiderivative_kernel(ctx: KernelContext, u, x: float):
     return _section(ctx, x)(u)
 
 
-def _section(ctx: KernelContext, x: float, dirichlet: bool = False):
-    """The antiderivative (or Dirichlet-type) kernel at x as a function of u,
-    with ``phi(x)``'s live rows found once; a scalar u sums exactly."""
-    table = (partial(index_table, ctx.system.eval) if dirichlet
-             else ctx.g_values)
+def _section(ctx: KernelContext, x: float, order: int = 1):
+    """The kernel ``sum_k R_k(u) phi_k(x)`` at x as a function of u, over
+    rung ``order`` of :func:`_rows`: the Dirichlet-type kernel (0), the
+    antiderivative kernel (1) or its prefix integral (2).  ``phi(x)``'s
+    live rows are found once; a scalar u sums exactly."""
     ks, weights = _live_rows(ctx, x)
 
     def kernel(u):
         u_arr = np.asarray(u, dtype=float)
-        vals = table(ks, np.atleast_1d(u_arr))
+        vals = _rows(ctx, order, ks, np.atleast_1d(u_arr))
         if u_arr.ndim == 0:
             return math.fsum(vals[:, 0] * weights)
         return weights @ vals
@@ -181,12 +174,11 @@ def _live_rows(ctx: KernelContext, x: float):
 def kernel_prefix_integral(ctx: KernelContext, t: float, x: float) -> float:
     """Prefix integral ``int_0^t`` of the antiderivative kernel at x.
 
-    A ``math.fsum`` over the rows of :func:`_prefix_rows` where
+    A ``math.fsum`` over the rung-2 rows of :func:`_rows` where
     ``phi_k(x) != 0``.
     """
     _check_x(t, "t")
-    ks, weights = _live_rows(ctx, x)
-    return math.fsum(_prefix_rows(ctx, ks, [t])[:, 0] * weights)
+    return _section(ctx, x, 2)(t)
 
 
 def boundedness_functional(ctx: KernelContext, x: float) -> float:
@@ -208,7 +200,7 @@ def _prefix_values(ctx: KernelContext, x: float) -> np.ndarray:
 
     A system whose second antiderivative is ``c_k (1 - cos 2 pi k u)``
     takes one real DFT of ``c_k phi_k(x)``.  Otherwise the prefixes are
-    ``phi(x)`` times rows of :func:`_prefix_rows` on the mesh: a
+    ``phi(x)`` times rung-2 rows of :func:`_rows` on the mesh: a
     ``phi(x)`` with zeros (a Haar vector has at most log2(n) + 2 nonzero
     entries) takes only the rows of its nonzero entries, and a
     full-support one the shared table.
@@ -218,8 +210,8 @@ def _prefix_values(ctx: KernelContext, x: float) -> np.ndarray:
         return _cosine_prefix_values(ctx, phi_x)
     live = np.flatnonzero(phi_x)
     if len(live) < ctx.n:
-        return phi_x[live] @ _prefix_rows(ctx, live + 1,
-                                         np.arange(1, ctx.n + 1) / ctx.n)
+        return phi_x[live] @ _rows(ctx, 2, live + 1,
+                                   np.arange(1, ctx.n + 1) / ctx.n)
     return ctx.prefix_table().T @ phi_x
 
 
@@ -296,14 +288,11 @@ def _abs_piecewise_linear(edges: np.ndarray, q: np.ndarray) -> float:
 def dirichlet_mean(ctx: KernelContext, x: float) -> float:
     """``int_0^1`` of the Dirichlet-type kernel at x.
 
-    For a step system with closed-form ``g_k`` this is ``sum phi_k(x)
-    g_k(1)`` over the rows where ``phi_k(x) != 0``, exact up to rounding;
-    otherwise quadrature.  (A cosine ``g_k(1)`` is a rounded ``sin 2 pi k``,
-    no closer to its exact 0 than the quadrature value.)
+    Since ``g_k(1) = int_0^1 phi_k``, this is ``sum phi_k(x) g_k(1)``, the
+    antiderivative kernel at u = 1: a ``math.fsum`` over the rows where
+    ``phi_k(x) != 0``.
     """
-    if ctx.system.exact_steps:
-        return antiderivative_kernel(ctx, 1.0, x)
-    return integrate(_section(ctx, x, dirichlet=True), ctx.rule).value
+    return antiderivative_kernel(ctx, 1.0, x)
 
 
 def antiderivative_square_sum(system: SystemHandle, n: int, us) -> np.ndarray:

@@ -1,3 +1,4 @@
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ons_lab
 from ons_lab import (
     ClassificationThresholds,
     InvalidConfig,
@@ -28,7 +30,9 @@ from ons_lab import (
     partial_sum_boundedness,
     prefix_mean_linkage,
     square_sum_ratio,
+    system_values,
 )
+from ons_lab.kernels import _rows
 
 
 class TestGrowthReport:
@@ -199,6 +203,20 @@ class TestTransfer:
             boundedness_transfer(cosine_system(), lip_only, (0.3,), 16)
 
 
+def _all_rows_extremal(ctx, t, grid_size):
+    """Grid and values of the extremal function with all n rows in the
+    prefix and its rounding bound: the reference for the live rows."""
+    ys = np.linspace(0.0, 1.0, grid_size + 1)
+    rows = _rows(ctx, 2, np.arange(1, ctx.n + 1), ys)
+    phi_t = system_values(ctx.system, ctx.n, t)
+    prefix = rows.T @ phi_t
+    noise = 4 * ctx.n * np.finfo(float).eps * (np.abs(rows.T) @ np.abs(phi_t))
+    slopes = np.where(np.abs(prefix) <= noise, 0.0, np.sign(prefix))
+    step = 1.0 / grid_size
+    return ys, np.concatenate(
+        [[0.0], np.cumsum((slopes[:-1] + slopes[1:]) / 2.0 * step)])
+
+
 class TestExtremalLipschitz:
     def test_vanishes_at_zero_exactly(self):
         ctx = KernelContext(cosine_system(), 8)
@@ -243,6 +261,41 @@ class TestExtremalLipschitz:
         assert float(np.asarray(f_n.eval(0.0))) == 0.0
         split = pairing_split(ctx, f_n, 0.3)
         assert abs(split.residual) < 1e-5
+
+    @pytest.mark.parametrize("name", ["haar", "reflect(haar)", "rademacher",
+                                      "cosine"])
+    def test_live_rows_give_the_all_rows_function(self, name):
+        # phi(t)'s zero entries add nothing to either dot product
+        system = get_system(name)
+        for n in range(4, 65):
+            ctx = KernelContext(system, n)
+            for t in (0.0, 0.3, 0.5, 1 / np.sqrt(2), 1.0):
+                ys, want = _all_rows_extremal(ctx, t, 256)
+                got = extremal_lipschitz(ctx, t, 256).eval(ys)
+                assert got.tobytes() == want.tobytes(), (n, t)
+
+    @pytest.mark.parametrize("name, nodes", [
+        ("cosine", 65536), ("reflect2(cosine)", 65536), ("haar", 65536)])
+    def test_pairing_lays_cell_sized_panels(self, name, nodes, monkeypatch):
+        # 1023 kinks at n = 16: each segment gets its cell's share of the
+        # panels (two), not the max(4, n) of the whole rule for [0, 1]
+        ctx = KernelContext(get_system(name), 16)
+        f_n = extremal_lipschitz(ctx, 0.3)
+        laid = []
+        original = ons_lab.quadrature.cell_mesh
+
+        def counted(*args):
+            mesh = original(*args)
+            laid.append(len(mesh[0]))
+            return mesh
+
+        for module in list(sys.modules.values()):
+            if (module is not None and module.__name__.startswith("ons_lab")
+                    and vars(module).get("cell_mesh") is original):
+                monkeypatch.setattr(module, "cell_mesh", counted)
+        split = pairing_split(ctx, f_n, 0.3)
+        assert sum(laid) == nodes
+        assert abs(split.residual) < 1e-12
 
     @pytest.mark.parametrize("t", [float("nan"), -0.25, 1.5])
     def test_rejects_point_outside_unit_interval(self, t):

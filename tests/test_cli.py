@@ -229,14 +229,19 @@ class TestOutputFormats:
 
 
 #: Rows and a summary that exercise the JSON encoder: numpy scalars,
-#: booleans, NaN, and strings holding quotes, newlines and the rows key.
-_JSON_HEADER = ("name", "i", "value", "ok")
+#: booleans, NaN, infinities, None, columns of mixed types, and strings
+#: holding quotes, newlines, NUL, ", " and the rows key.
+_JSON_HEADER = ("name", "i", "value", "ok", "flag", "edge", "mixed")
 _JSON_SUMMARY = {"note": 'a "rows": [] b\nc', "rows": [], "pass": True}
+_JSON_EDGES = (np.inf, -np.inf, np.float64(-np.inf), -0.0, 1e308, None)
 
 
 def _json_rows(count):
-    return [(f'r"{i}\n', np.int64(i), np.float64(i) / 3 if i % 5 else np.nan,
-             bool(i % 2)) for i in range(count)]
+    return [(f'r"{i}\n\0, ', np.int64(i),
+             np.float64(i) / 3 if i % 5 else np.nan, bool(i % 2),
+             np.bool_(i % 3 == 0), _JSON_EDGES[i % len(_JSON_EDGES)],
+             (None, i, f"\0{i}\0", float(i) / 7, True)[i % 5])
+            for i in range(count)]
 
 
 class TestJsonBlocks:
@@ -467,6 +472,29 @@ class TestCommands:
         lines = path.read_text().splitlines()
         assert len(lines) == 1 + 3 * 23
         assert lines[-1].startswith("1,24,")
+
+    @pytest.mark.parametrize("command", [c for c, e in REGISTRY.items()
+                                         if "x" in e.reads])
+    def test_repeated_point_gives_its_rows_twice(self, command, tmp_path):
+        small = {"n_max": "4", "n_values": "4", "n": "4"}
+        args = [command, "--format", "json"] + [
+            arg for key, value in small.items() if key in REGISTRY[command].reads
+            for arg in ("--" + key.replace("_", "-"), value)]
+
+        def rows(points):
+            code, path = run_cli([*args, "--x", points], tmp_path)
+            assert code == 0
+            return [json.dumps(r) for r in json.loads(path.read_text())["rows"]]
+
+        once, twice = rows("0.3"), rows("0.3,0.3")
+        assert once and sorted(twice) == sorted(2 * once)
+
+    def test_signed_zero_points_stay_two_points(self, tmp_path):
+        code, path = run_cli(["mn-sweep", "--x", "0,-0.0", "--n-max", "4"],
+                             tmp_path)
+        assert code == 0
+        assert [line.split(",")[0] for line in
+                path.read_text().splitlines()[1:]] == ["0"] * 3 + ["-0"] * 3
 
 
 class TestWorkDone:

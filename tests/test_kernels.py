@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 from functools import partial
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ons_lab
 from conftest import (CATALOG, STEP_CATALOG, haar_antideriv2_exact,
                       rademacher_antideriv2_exact, riemann_midpoint)
 from ons_lab import (
@@ -36,8 +38,7 @@ from ons_lab import (
     square_sum_ratio,
     system_values,
 )
-from ons_lab.kernels import (_abs_piecewise_linear, _prefix_rows,
-                             _prefix_values)
+from ons_lab.kernels import _abs_piecewise_linear, _prefix_values, _rows
 from ons_lab.systems import breakpoints_upto, eval_matrix, index_table
 
 SQ2 = np.sqrt(2.0)
@@ -413,6 +414,39 @@ class TestDirichletMeanIdentity:
                              ctx.rule).value
             assert abs(dirichlet_mean(ctx, x) - want) < 1e-14
 
+    @pytest.mark.parametrize("name", ["cosine", "reflect(cosine)",
+                                      "reflect2(cosine)", "cosine-stripped",
+                                      "haar-stripped"])
+    def test_other_means_match_kernel_quadrature(self, name):
+        # the same oracle; a system without closed-form g_k takes g_k(1)
+        # from one cumulative pass over phi_k
+        base = get_system(name.removesuffix("-stripped"))
+        sys_ = (replace(base, name=name, antideriv=None, antideriv2=None)
+                if name.endswith("-stripped") else base)
+        ctx = KernelContext(sys_, 32)
+        for x in (0.0, 0.3, 0.9):
+            want = integrate(lambda u: dirichlet_kernel(ctx, u, x),
+                             ctx.rule).value
+            assert abs(dirichlet_mean(ctx, x) - want) < 1e-14
+
+    @pytest.mark.parametrize("name", CATALOG + STEP_CATALOG)
+    def test_mean_integrates_nothing(self, name, monkeypatch):
+        # g_k(1) = int_0^1 phi_k, so the mean is the kernel Q_n(1, x)
+        original, calls = ons_lab.quadrature.integrate, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if (module is not None and module.__name__.startswith("ons_lab")
+                    and vars(module).get("integrate") is original):
+                monkeypatch.setattr(module, "integrate", counted)
+        ctx = KernelContext(get_system(name), 8)
+        for x in (0.0, 0.3, 1.0):
+            dirichlet_mean(ctx, x)
+        assert calls == []
+
     def test_step_means_are_exact(self):
         # every sign-system g_k(1) is 0, and every Haar g_k(1) but g_1(1) = 1
         for x in (0.0, 0.3, 1.0):
@@ -538,16 +572,20 @@ class TestNumericAntiderivativeFallback:
                                  st.floats(0.0, 1.0)), min_size=1,
                        max_size=12).map(lambda v: sorted(v + v[:1])))
     def test_numeric_prefix_rows_match_closed_form(self, name, n, ts):
-        # repeated points make empty cells; the numeric rows integrate the
-        # closed-form g_k with cell-sized panels, and every row is at most
-        # 1/2, so 1e-14 is a few dozen ulps
+        # repeated points make empty cells; a numeric rung integrates the
+        # rung below (closed-form or itself numeric) with cell-sized
+        # panels; rung 0 is the same evaluator on both sides, and rows of
+        # rungs 1 and 2 are at most 1/2, so 1e-14 is a few dozen ulps
         closed = get_system(name)
-        stripped = replace(closed, name=f"{name}-stripped", antideriv2=None)
         ks = np.arange(1, n + 1)
-        want = _prefix_rows(KernelContext(closed, n), ks, ts)
-        got = _prefix_rows(KernelContext(stripped, n), ks, ts)
-        assert got.shape == want.shape == (n, len(ts))
-        assert np.abs(got - want).max() < 1e-14
+        for strip in ({"antideriv2": None},
+                      {"antideriv": None, "antideriv2": None}):
+            stripped = replace(closed, name=f"{name}-stripped", **strip)
+            for order in (0, 1, 2):
+                want = _rows(KernelContext(closed, n), order, ks, ts)
+                got = _rows(KernelContext(stripped, n), order, ks, ts)
+                assert got.shape == want.shape == (n, len(ts))
+                assert np.abs(got - want).max() < 1e-14, (strip, order)
 
 
 def _sweep_points():
