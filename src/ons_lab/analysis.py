@@ -30,6 +30,7 @@ from .systems import (
     FunctionSpec,
     SystemHandle,
     _check_x,
+    eval_matrix,
     get_function,
     system_values,
 )
@@ -152,16 +153,20 @@ def boundedness_values(system: SystemHandle, x_grid: Sequence[float],
                        n_max: int) -> np.ndarray:
     """Matrix ``M[j, i]`` of the boundedness functional at x_grid[j], n = 2 + i.
 
-    One kernel context is built per ``n`` and shared across the grid, so
-    the antiderivative tables are computed once per index.
+    Every point is checked, and ``phi`` evaluated at the grid up to n_max,
+    once.  The kernel context of each ``n`` holds the grid and the first n
+    rows of that block, so one prefix pass per index serves every point.
     """
     if n_max < 2:
         raise InvalidConfig(
             f"n_max: boundedness sweeps need n_max >= 2, got {n_max}")
     xs = list(x_grid)
+    for x in xs:
+        _check_x(x)
+    phi = eval_matrix(system, n_max, xs)
     out = np.empty((len(xs), n_max - 1))
     for i, n in enumerate(range(2, n_max + 1)):
-        ctx = KernelContext(system, n)
+        ctx = KernelContext(system, n, points=xs, phi=phi[:n])
         out[:, i] = [boundedness_functional(ctx, x) for x in xs]
     return out
 

@@ -38,7 +38,7 @@ import itertools
 import json
 import sys
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -649,8 +649,16 @@ def config_from_namespace(ns: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(ns.command, values)
 
 
+@cache
+def _parser() -> _Parser:
+    """The tree of :func:`build_parser`, built once per process: parsing
+    reads it and keeps no state in it, so every call of :func:`main`
+    shares it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ns = build_parser().parse_args(argv)
+    ns = _parser().parse_args(argv)
     try:
         return run(config_from_namespace(ns))
     except OnsLabError as exc:

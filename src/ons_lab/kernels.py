@@ -22,13 +22,16 @@ On the mesh ``i/n`` the cosine system, whose second antiderivatives are
 ``c_k (1 - cos 2 pi k u)``, skips the rows: all n prefixes are one real
 FFT of length n, O(n log n) per ``(n, x)``.  A Haar ``phi(x)`` has few
 nonzero entries and takes only their rows; other systems share one
-``(n, n)`` table across evaluation points.
+``(n, n)`` prefix table across evaluation points.
 
-A :class:`KernelContext` pins ``(system, n, rule)`` and caches the
-prefix table shared by every evaluation point, so sweeps over ``x``
-reuse one table.  The quadrature rule is built on first use, so
-closed-form paths never construct it.  Contexts are read-only after
-construction apart from those two caches; evaluations are pure.
+A :class:`KernelContext` pins ``(system, n, rule)`` and, optionally, a
+set of evaluation points with their block of ``phi_k`` values.  The mesh
+prefixes of all its points come from one pass over that block on first
+use (one batched FFT call for the cosine system), and a point outside the
+set is a one-column block of its own.  The quadrature rule, the prefix
+table and the points' prefixes are built on first use, so closed-form
+paths never construct a rule.  Contexts are read-only after construction
+apart from those three caches; evaluations are pure.
 
 Step systems with closed-form antiderivatives need no quadrature for the
 kernel integrals over ``u``: ``Q_n(., x)`` is linear between breakpoints,
@@ -54,12 +57,12 @@ from .quadrature import (
     integrate,
     integrate_abs,
 )
-from .systems import (SystemHandle, _check_x, index_table, recommended_rule,
-                      system_values)
+from .systems import (SystemHandle, _check_x, eval_matrix, index_table,
+                      recommended_rule, system_values)
 
 
 class KernelContext:
-    """Evaluation context for one ``(system, n)`` pair.
+    """Evaluation context for one ``(system, n)`` pair and its points.
 
     Parameters
     ----------
@@ -70,16 +73,34 @@ class KernelContext:
     rule : QuadratureRule, optional
         Quadrature configuration; defaults to the system's recommended
         rule for indices up to ``n``, built when first needed.
+    points : sequence of float, optional
+        Evaluation points whose mesh prefixes (:meth:`prefixes`) one
+        :func:`_prefix_values` pass computes together, on first use.
+        Points equal as floats share a row.
+    phi : ndarray, optional
+        The points' block ``phi[k - 1, j] = phi_k(points[j])`` for k <= n,
+        when the caller has it (a sweep slices one :func:`eval_matrix` up
+        to its largest n); otherwise the points are checked and evaluated
+        here.
     """
 
     def __init__(self, system: SystemHandle, n: int,
-                 rule: Optional[QuadratureRule] = None):
+                 rule: Optional[QuadratureRule] = None,
+                 points: Sequence[float] = (),
+                 phi: Optional[np.ndarray] = None):
         if n < 1:
             raise InvalidConfig(f"n: kernel context needs n >= 1, got {n}")
         self.system = system
         self.n = int(n)
         if rule is not None:
             self.rule = rule
+        if phi is None and len(points):
+            for x in points:
+                _check_x(x)
+            phi = eval_matrix(system, self.n, points)
+        self._point_index = {float(x): j for j, x in enumerate(points)}
+        self._phi = phi
+        self._point_prefixes = None  # prefixes at the points, (len(points), n)
         self._prefix_table = None    # int_0^{i/n} g_k, shape (n, n)
 
     @cached_property
@@ -97,6 +118,18 @@ class KernelContext:
             ks = np.arange(1, self.n + 1)
             self._prefix_table = _rows(self, 2, ks, ks / self.n)
         return self._prefix_table
+
+    def prefixes(self, x: float) -> np.ndarray:
+        """Prefix integrals of the antiderivative kernel at x on the mesh
+        i/n, i = 1..n: x's row of the points' prefixes, or else those of a
+        one-column block of x alone; x outside [0, 1] raises."""
+        j = self._point_index.get(float(x)) if self._point_index else None
+        if j is None:
+            return _prefix_values(
+                self, system_values(self.system, self.n, x)[:, None])[0]
+        if self._point_prefixes is None:
+            self._point_prefixes = _prefix_values(self, self._phi)
+        return self._point_prefixes[j]
 
 
 def _rows(ctx: KernelContext, order: int, ks, us) -> np.ndarray:
@@ -185,45 +218,54 @@ def boundedness_functional(ctx: KernelContext, x: float) -> float:
     """Mean absolute prefix integral of the antiderivative kernel.
 
     All n - 1 prefix integrals come from one pass (see
-    :func:`_prefix_values`): an FFT for the cosine system, and otherwise
-    the rows of the indices where ``phi(x)`` is nonzero, or the shared
-    prefix table when it has no zeros.
+    :func:`_prefix_values`), shared by the context's points: an FFT for the
+    cosine system, and otherwise the rows of the indices where ``phi(x)``
+    is nonzero, or the shared prefix table when it has no zeros.
     """
     if ctx.n < 2:
         raise ValueError("boundedness functional needs n >= 2")
-    prefixes = _prefix_values(ctx, x)
+    prefixes = ctx.prefixes(x)
     return float(np.abs(prefixes[:ctx.n - 1]).sum() / ctx.n)
 
 
-def _prefix_values(ctx: KernelContext, x: float) -> np.ndarray:
-    """Prefix integrals of the antiderivative kernel at i/n for i = 1..n.
+def _prefix_values(ctx: KernelContext, phi: np.ndarray) -> np.ndarray:
+    """Prefix integrals of the antiderivative kernel at i/n for i = 1..n, at
+    every point of a block ``phi[k - 1, j] = phi_k(x_j)``; row j of the
+    ``(X, n)`` result holds x_j's.
 
     A system whose second antiderivative is ``c_k (1 - cos 2 pi k u)``
-    takes one real DFT of ``c_k phi_k(x)``.  Otherwise the prefixes are
-    ``phi(x)`` times rung-2 rows of :func:`_rows` on the mesh: a
-    ``phi(x)`` with zeros (a Haar vector has at most log2(n) + 2 nonzero
-    entries) takes only the rows of its nonzero entries, and a
-    full-support one the shared table.
+    takes one real DFT of ``c_k phi_k(x_j)`` per point, all in one call.
+    Otherwise the prefixes are ``phi(x_j)`` times rung-2 rows of
+    :func:`_rows` on the mesh: a ``phi(x_j)`` with zeros (a Haar vector has
+    at most log2(n) + 2 nonzero entries) takes only the rows of its nonzero
+    entries, and a full-support one the shared table.  Each point's
+    prefixes are summed on their own, so they do not depend on the others.
     """
-    phi_x = system_values(ctx.system, ctx.n, x)
+    vecs = np.ascontiguousarray(phi.T)      # phi(x_j) as a contiguous row
     if ctx.system.antideriv2_cos is not None:
-        return _cosine_prefix_values(ctx, phi_x)
-    live = np.flatnonzero(phi_x)
-    if len(live) < ctx.n:
-        return phi_x[live] @ _rows(ctx, 2, live + 1,
-                                   np.arange(1, ctx.n + 1) / ctx.n)
-    return ctx.prefix_table().T @ phi_x
+        return _cosine_prefix_values(ctx, vecs)
+    mesh = np.arange(1, ctx.n + 1) / ctx.n
+    out = np.empty_like(vecs)
+    for j, phi_x in enumerate(vecs):
+        live = np.flatnonzero(phi_x)
+        if len(live) < ctx.n:
+            out[j] = phi_x[live] @ _rows(ctx, 2, live + 1, mesh)
+        else:
+            out[j] = ctx.prefix_table().T @ phi_x
+    return out
 
 
-def _cosine_prefix_values(ctx: KernelContext, phi_x: np.ndarray) -> np.ndarray:
+def _cosine_prefix_values(ctx: KernelContext, vecs: np.ndarray) -> np.ndarray:
     # P_i = sum_k w_k (1 - cos(2 pi k i / n)) with w_k = c_k phi_k(x): placing
     # w_k at k mod n makes Re DFT(w)[i] the cosine sum, and a real input's DFT
     # is symmetric, so rfft gives every i.  The plain sum is taken directly,
-    # because DFT(w)[0] carries the FFT's larger roundoff at prime n.
+    # because DFT(w)[0] carries the FFT's larger roundoff at prime n.  Rows
+    # are points; w stays C-ordered, so each row sums as a vector of its own.
     n = ctx.n
-    w = ctx.system.antideriv2_cos(np.arange(1, n + 1)) * phi_x
-    re = np.fft.rfft(np.concatenate((w[-1:], w[:-1]))).real
-    return w.sum() - np.concatenate((re[1:], re[(n + 1) // 2 - 1:0:-1], re[:1]))
+    w = ctx.system.antideriv2_cos(np.arange(1, n + 1)) * vecs
+    re = np.fft.rfft(np.concatenate((w[:, -1:], w[:, :-1]), axis=1)).real
+    return w.sum(axis=1, keepdims=True) - np.concatenate(
+        (re[:, 1:], re[:, (n + 1) // 2 - 1:0:-1], re[:, :1]), axis=1)
 
 
 def boundedness_functional_naive(ctx: KernelContext, x: float) -> float:

@@ -13,6 +13,7 @@ from ons_lab import (
     KernelContext,
     SystemHandle,
     boundedness_experiment,
+    boundedness_functional,
     boundedness_transfer,
     boundedness_values,
     coefficients,
@@ -165,6 +166,45 @@ class TestBoundednessSweeps:
                 from ons_lab import boundedness_functional
                 assert matrix[j, i] == pytest.approx(
                     boundedness_functional(ctx, x), abs=1e-12)
+
+
+#: Each base system and its single and double reflection.
+_SWEPT = tuple(wrap.format(base) for base in ("cosine", "haar", "rademacher")
+               for wrap in ("{}", "reflect({})", "reflect2({})"))
+
+
+class TestBatchedSweep:
+    """The sweep's one prefix pass per n over its whole grid, against one
+    point at a time."""
+
+    @pytest.mark.parametrize("name", _SWEPT)
+    def test_values_equal_one_point_contexts(self, name):
+        # signed zeros, a repeated point and seeded interior points; a
+        # context without points takes x as a one-column block
+        system = get_system(name)
+        xs = (0.0, -0.0, 0.3, 0.3, 1.0,
+              *np.random.default_rng(23).uniform(0.0, 1.0, 3))
+        matrix = boundedness_values(system, xs, 64)
+        for n in range(2, 65):
+            ctx = KernelContext(system, n)
+            for j, x in enumerate(xs):
+                assert matrix[j, n - 2] == boundedness_functional(ctx, x), (n, x)
+
+    @pytest.mark.parametrize("name", ["cosine", "haar"])
+    def test_empty_grid(self, name):
+        assert boundedness_values(get_system(name), (), 9).shape == (0, 8)
+
+    @pytest.mark.parametrize("bad", [float("nan"), -0.25, 1.5])
+    def test_bad_point_raises_before_any_context(self, bad, monkeypatch):
+        def no_context(*args, **kwargs):
+            raise AssertionError("context built before the grid was checked")
+
+        with pytest.raises(InvalidConfig) as want:
+            system_values(haar_system(), 4, bad)
+        monkeypatch.setattr(ons_lab.analysis, "KernelContext", no_context)
+        with pytest.raises(InvalidConfig) as got:
+            boundedness_values(haar_system(), (0.3, bad, 0.5), 16)
+        assert str(got.value) == str(want.value)
 
 
 def test_inverse_square_root_sum():

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -497,6 +498,23 @@ class TestCommands:
                 path.read_text().splitlines()[1:]] == ["0"] * 3 + ["-0"] * 3
 
 
+def count_calls(monkeypatch, owners, name, counts):
+    """Count calls of ``owners[0].name`` in ``counts[name]``, wherever the
+    library binds that object: in each ``owners`` namespace, and in every
+    ``ons_lab`` module that imported it by name."""
+    original = getattr(owners[0], name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    modules = [m for m in list(sys.modules.values())
+               if m is not None and m.__name__.startswith("ons_lab")]
+    for owner in {id(o): o for o in (*owners, *modules)}.values():
+        if vars(owner).get(name) is original:
+            monkeypatch.setattr(owner, name, counted)
+
+
 class TestWorkDone:
     """Counts of repeated work, taken by wrapping library functions."""
 
@@ -509,19 +527,31 @@ class TestWorkDone:
                                                monkeypatch):
         # theorem4-moments takes five coefficient tables of two reflected
         # systems; lemma4 and theorem2 take theirs from one context
-        original, built = ons_lab.systems.recommended_rule, []
-
-        def counted(*args):
-            built.append(args)
-            return original(*args)
-
-        for module in list(sys.modules.values()):
-            if (module is not None and module.__name__.startswith("ons_lab")
-                    and vars(module).get("recommended_rule") is original):
-                monkeypatch.setattr(module, "recommended_rule", counted)
+        counts = Counter()
+        count_calls(monkeypatch, [ons_lab.systems], "recommended_rule", counts)
         code, _ = run_cli(argv, tmp_path)
         assert code == 0
-        assert len(built) == rules
+        assert counts["recommended_rule"] == rules
+
+    def test_cosine_sweep_makes_one_prefix_pass_per_index(self, tmp_path,
+                                                          monkeypatch):
+        # phi is evaluated once per sweep and each n takes one FFT call for
+        # every point; the functional is still called once per (n, x), on
+        # one context per n
+        n_max, xs = 40, (0.0, 0.3, 0.3, 0.7071067811865476, 1.0)
+        counts = Counter()
+        for owners, name in (([ons_lab.systems], "eval_matrix"),
+                             ([np.fft], "rfft"),
+                             ([ons_lab.kernels], "boundedness_functional"),
+                             ([ons_lab.kernels.KernelContext], "__init__")):
+            count_calls(monkeypatch, owners, name, counts)
+        code, _ = run_cli(["mn-sweep", "--system", "cosine", "--n-max",
+                           str(n_max), "--x", ",".join(map(str, xs))],
+                          tmp_path)
+        assert code == 0
+        assert counts == {"eval_matrix": 1, "rfft": n_max - 1,
+                          "boundedness_functional": (n_max - 1) * len(xs),
+                          "__init__": n_max - 1}
 
     def test_lemma4_finds_live_rows_at_most_twice_per_point(self, tmp_path,
                                                             monkeypatch):

@@ -13,6 +13,7 @@ import ons_lab
 from conftest import (CATALOG, STEP_CATALOG, haar_antideriv2_exact,
                       rademacher_antideriv2_exact, riemann_midpoint)
 from ons_lab import (
+    InvalidConfig,
     KernelContext,
     QuadratureRule,
     SystemHandle,
@@ -552,8 +553,8 @@ class TestNumericAntiderivativeFallback:
             ctx = KernelContext(stripped, n)
             ref = KernelContext(closed, n)
             for x in (0.0, 0.3, 0.5, 1 / np.sqrt(2), 1.0):
-                got = _prefix_values(ctx, x)
-                assert np.abs(got - _prefix_values(ref, x)).max() < 1e-13
+                got = ctx.prefixes(x)
+                assert np.abs(got - ref.prefixes(x)).max() < 1e-13
             # past n = 2 every Haar phi(x) has zeros, so no table is built
             assert (ctx._prefix_table is None) == (n > 2)
 
@@ -588,6 +589,30 @@ class TestNumericAntiderivativeFallback:
                 assert np.abs(got - want).max() < 1e-14, (strip, order)
 
 
+class TestPointBlocks:
+    """Mesh prefixes of a block of points: one row per point, each as it
+    would be alone."""
+
+    @pytest.mark.parametrize("name", CATALOG + ("reflect2(haar)",))
+    @pytest.mark.parametrize("n", [2, 7, 16, 33])
+    def test_rows_equal_one_column_blocks(self, name, n):
+        system = get_system(name)
+        xs = [0.0, 0.3, 0.5, 1 / np.sqrt(2), 1.0]
+        ctx = KernelContext(system, n, points=xs)
+        block = _prefix_values(ctx, eval_matrix(system, n, xs))
+        assert block.shape == (len(xs), n)
+        for j, x in enumerate(xs + [0.9]):
+            one = _prefix_values(KernelContext(system, n),
+                                 system_values(system, n, x)[:, None])
+            assert np.array_equal(ctx.prefixes(x), one[0])
+            if j < len(xs):
+                assert np.array_equal(block[j], one[0])
+
+    def test_points_without_a_block_are_checked(self):
+        with pytest.raises(InvalidConfig, match=r"x must lie in \[0, 1\]"):
+            KernelContext(haar_system(), 8, points=(0.3, float("nan")))
+
+
 def _sweep_points():
     """0, 1, dyadic breakpoints and interior points of [0, 1]."""
     dyadic = st.builds(lambda j, e: j / 2 ** e, st.integers(0, 64),
@@ -620,7 +645,7 @@ class TestCosineDftPrefixes:
         n, x = case
         sys_ = cosine_system()
         ctx = KernelContext(sys_, n)
-        got = _prefix_values(ctx, x)
+        got = ctx.prefixes(x)
         phi_x = system_values(sys_, n, x)
         assert np.abs(got - ctx.prefix_table().T @ phi_x).max() <= 1e-15
         ks = np.arange(1, n + 1)[:, None]
