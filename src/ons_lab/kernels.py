@@ -18,20 +18,21 @@ of one ladder, :func:`_rows`: a rung's closed form, or else one
 panels.  A kernel section of order 0, 1 or 2 (the Dirichlet-type kernel,
 the antiderivative kernel, its prefix integral) sums one rung's rows where
 ``phi_k(x) != 0``, weighted by ``phi_k(x)``.
-On the mesh ``i/n`` the cosine system, whose second antiderivatives are
-``c_k (1 - cos 2 pi k u)``, skips the rows: all n prefixes are one real
-FFT of length n, O(n log n) per ``(n, x)``.  A Haar ``phi(x)`` has few
-nonzero entries and takes only their rows; other systems share one
-``(n, n)`` prefix table across evaluation points.
+On the mesh ``i/n`` a system with a ``mesh_prefix`` hook skips the rows:
+the hook gives all n prefixes of a block of points in closed form (one
+batched real FFT for cosine, a slope and 30 periodic rows for Rademacher,
+the base's hook composed for a reflection).  Any other system takes, per
+point, the rows where ``phi(x)`` is nonzero; a Haar ``phi(x)`` has at most
+log2(n) + 2 of them.
 
 A :class:`KernelContext` pins ``(system, n, rule)`` and, optionally, a
 set of evaluation points with their block of ``phi_k`` values.  The mesh
 prefixes of all its points come from one pass over that block on first
-use (one batched FFT call for the cosine system), and a point outside the
-set is a one-column block of its own.  The quadrature rule, the prefix
-table and the points' prefixes are built on first use, so closed-form
-paths never construct a rule.  Contexts are read-only after construction
-apart from those three caches; evaluations are pure.
+use, and a point outside the set is a one-column block of its own.  The
+quadrature rule and the points' prefixes are built on first use, so
+closed-form paths never construct a rule; so is the ``(n, n)`` prefix
+table, which only tests read.  Contexts are read-only after construction
+apart from those caches; evaluations are pure.
 
 Step systems with closed-form antiderivatives need no quadrature for the
 kernel integrals over ``u``: ``Q_n(., x)`` is linear between breakpoints,
@@ -113,7 +114,10 @@ class KernelContext:
         return _rows(self, 1, ks, us)
 
     def prefix_table(self) -> np.ndarray:
-        """``int_0^{i/n} g_k`` for every index k and mesh point i/n, cached."""
+        """``int_0^{i/n} g_k`` for every index k and mesh point i/n, cached:
+        a reference for tests, read by no prefix path; ``perfbench/spans.py``
+        wraps it by name and reads its slot, so it stays until that does not.
+        """
         if self._prefix_table is None:
             ks = np.arange(1, self.n + 1)
             self._prefix_table = _rows(self, 2, ks, ks / self.n)
@@ -218,9 +222,9 @@ def boundedness_functional(ctx: KernelContext, x: float) -> float:
     """Mean absolute prefix integral of the antiderivative kernel.
 
     All n - 1 prefix integrals come from one pass (see
-    :func:`_prefix_values`), shared by the context's points: an FFT for the
-    cosine system, and otherwise the rows of the indices where ``phi(x)``
-    is nonzero, or the shared prefix table when it has no zeros.
+    :func:`_prefix_values`), shared by the context's points: the system's
+    ``mesh_prefix`` hook, and otherwise the rows of the indices where
+    ``phi(x)`` is nonzero.
     """
     if ctx.n < 2:
         raise ValueError("boundedness functional needs n >= 2")
@@ -233,39 +237,20 @@ def _prefix_values(ctx: KernelContext, phi: np.ndarray) -> np.ndarray:
     every point of a block ``phi[k - 1, j] = phi_k(x_j)``; row j of the
     ``(X, n)`` result holds x_j's.
 
-    A system whose second antiderivative is ``c_k (1 - cos 2 pi k u)``
-    takes one real DFT of ``c_k phi_k(x_j)`` per point, all in one call.
-    Otherwise the prefixes are ``phi(x_j)`` times rung-2 rows of
-    :func:`_rows` on the mesh: a ``phi(x_j)`` with zeros (a Haar vector has
-    at most log2(n) + 2 nonzero entries) takes only the rows of its nonzero
-    entries, and a full-support one the shared table.  Each point's
-    prefixes are summed on their own, so they do not depend on the others.
+    The system's ``mesh_prefix`` hook, given ``phi(x_j)`` as contiguous
+    rows; otherwise ``phi(x_j)`` times the rung-2 rows of :func:`_rows` on
+    the mesh where it is nonzero, point by point.  Either way each point's
+    prefixes do not depend on the others.
     """
-    vecs = np.ascontiguousarray(phi.T)      # phi(x_j) as a contiguous row
-    if ctx.system.antideriv2_cos is not None:
-        return _cosine_prefix_values(ctx, vecs)
+    vecs = np.ascontiguousarray(phi.T)
+    if ctx.system.mesh_prefix is not None:
+        return ctx.system.mesh_prefix(vecs)
     mesh = np.arange(1, ctx.n + 1) / ctx.n
     out = np.empty_like(vecs)
     for j, phi_x in enumerate(vecs):
         live = np.flatnonzero(phi_x)
-        if len(live) < ctx.n:
-            out[j] = phi_x[live] @ _rows(ctx, 2, live + 1, mesh)
-        else:
-            out[j] = ctx.prefix_table().T @ phi_x
+        out[j] = phi_x[live] @ _rows(ctx, 2, live + 1, mesh)
     return out
-
-
-def _cosine_prefix_values(ctx: KernelContext, vecs: np.ndarray) -> np.ndarray:
-    # P_i = sum_k w_k (1 - cos(2 pi k i / n)) with w_k = c_k phi_k(x): placing
-    # w_k at k mod n makes Re DFT(w)[i] the cosine sum, and a real input's DFT
-    # is symmetric, so rfft gives every i.  The plain sum is taken directly,
-    # because DFT(w)[0] carries the FFT's larger roundoff at prime n.  Rows
-    # are points; w stays C-ordered, so each row sums as a vector of its own.
-    n = ctx.n
-    w = ctx.system.antideriv2_cos(np.arange(1, n + 1)) * vecs
-    re = np.fft.rfft(np.concatenate((w[:, -1:], w[:, :-1]), axis=1)).real
-    return w.sum(axis=1, keepdims=True) - np.concatenate(
-        (re[:, 1:], re[:, (n + 1) // 2 - 1:0:-1], re[:, :1]), axis=1)
 
 
 def boundedness_functional_naive(ctx: KernelContext, x: float) -> float:

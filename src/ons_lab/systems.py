@@ -65,9 +65,11 @@ class SystemHandle:
         and at the boundaries between repetitions.  ``(1, ())`` by default.
         :func:`element_breakpoints` lists every jump; an exact Gram row sums
         over one repetition, so it also serves elements with too many.
-    antideriv2_cos : callable or None
-        ``k -> c_k``, set when ``antideriv2(k, u) = c_k * (1 - cos(2 pi k u))``;
-        prefix integrals on the mesh ``i/n`` are then one length-n DFT.
+    mesh_prefix : callable or None
+        Closed-form ``w -> P`` for an ``(X, n)`` block of weights, with
+        ``P[j, i - 1] = sum_k w[j, k - 1] antideriv2(k, i / n)``; linear in
+        w, and row j of P depends on row j of w alone, bit for bit.  A
+        handle stripped of ``antideriv2`` must drop it too.
     """
 
     name: str
@@ -76,7 +78,7 @@ class SystemHandle:
     piecewise_constant: bool = False
     antideriv2: Optional[Callable] = None
     period: Callable[[int], tuple] = lambda k: (1, ())
-    antideriv2_cos: Optional[Callable] = None
+    mesh_prefix: Optional[Callable] = None
 
     @property
     def exact_steps(self) -> bool:
@@ -139,8 +141,16 @@ def _cosine_antideriv2(k, u):
     return SQRT2 * (1.0 - np.cos(2.0 * np.pi * k * u)) / (2.0 * np.pi * k) ** 2
 
 
-def _cosine_antideriv2_coeff(k):
-    return SQRT2 / (2.0 * np.pi * np.asarray(k, dtype=float)) ** 2
+def _cosine_mesh_prefix(w):
+    # P_i = sum_k c_k w_k (1 - cos(2 pi k i / n)): placing c_k w_k at k mod n
+    # makes Re DFT[i] the cosine sum, and rfft gives every i by symmetry.  The
+    # plain sum is taken directly, because DFT[0] carries the FFT's larger
+    # roundoff at prime n.  Rows stay C-ordered, so each sums on its own
+    n = w.shape[1]
+    w = SQRT2 / (2.0 * np.pi * np.arange(1, n + 1, dtype=float)) ** 2 * w
+    re = np.fft.rfft(np.concatenate((w[:, -1:], w[:, :-1]), axis=1)).real
+    return w.sum(axis=1, keepdims=True) - np.concatenate(
+        (re[:, 1:], re[:, (n + 1) // 2 - 1:0:-1], re[:, :1]), axis=1)
 
 
 def cosine_system() -> SystemHandle:
@@ -150,7 +160,7 @@ def cosine_system() -> SystemHandle:
         eval=_cosine_eval,
         antideriv=_cosine_antideriv,
         antideriv2=_cosine_antideriv2,
-        antideriv2_cos=_cosine_antideriv2_coeff,
+        mesh_prefix=_cosine_mesh_prefix,
     )
 
 
@@ -258,6 +268,22 @@ def _rademacher_antideriv2(k, u):
     return np.ldexp(u - y, -1 - k) + within
 
 
+#: Rows the sign system's mesh prefixes take in full; past them, row k is
+#: ``u 2^(-1-k)`` up to periodic parts of at most 4^(1-k)/32, < 2e-19 in all.
+RADEMACHER_FULL_ROWS = 30
+
+
+def _rademacher_mesh_prefix(w):
+    # the first rows in full, and one slope per point times i/n for the
+    # rest; each row of w is reduced on its own
+    ks = np.arange(1, w.shape[1] + 1)
+    top, mesh = RADEMACHER_FULL_ROWS, ks / len(ks)
+    slope = (w[:, top:] * np.ldexp(1.0, -1 - ks[top:])).sum(axis=1)
+    head = (w[:, :top, None]
+            * _rademacher_antideriv2(ks[:top, None], mesh)).sum(axis=1)
+    return head + slope[:, None] * mesh
+
+
 def _rademacher_period(k: int) -> tuple:
     # 2^(k-1) periods, each jumping at its middle; the jump underflows to
     # 0.0 past k = 1074, which only matters to a row of that element
@@ -274,6 +300,7 @@ def rademacher_system() -> SystemHandle:
         piecewise_constant=True,
         antideriv2=_rademacher_antideriv2,
         period=_rademacher_period,
+        mesh_prefix=_rademacher_mesh_prefix,
     )
 
 
@@ -316,6 +343,18 @@ def compress_reflect(base: SystemHandle) -> SystemHandle:
                         + 0.5 * anti(k, 1.0) * (u - 0.5) - 0.25 * a2,
                         0.25 * a2)
 
+    def reflected_mesh_prefix(w):
+        # reflected_anti2 at i/n reads the base's prefixes of the same w at
+        # the mesh indices 2i and 2i - n, with P_B[0] = 0; w . g_B(1) by rows
+        n = w.shape[1]
+        pb = np.pad(base.mesh_prefix(w), ((0, 0), (1, 0)))
+        i = np.arange(1, n + 1)
+        right = ~(2 * i < n)
+        a2 = pb[:, np.where(right, 2 * i - n, 2 * i)]
+        mean = (w * anti(i, 1.0)).sum(axis=1, keepdims=True)
+        return np.where(right, 0.25 * pb[:, n:]
+                        + 0.5 * mean * (i / n - 0.5) - 0.25 * a2, 0.25 * a2)
+
     def period(k: int) -> tuple:
         # the base element's jumps in each half, and the joint at 1/2
         half = element_breakpoints(base, k) / 2.0
@@ -328,6 +367,8 @@ def compress_reflect(base: SystemHandle) -> SystemHandle:
         piecewise_constant=base.piecewise_constant,
         antideriv2=None if anti is None or anti2 is None else reflected_anti2,
         period=period,
+        mesh_prefix=(None if anti is None or base.mesh_prefix is None
+                     else reflected_mesh_prefix),
     )
 
 

@@ -553,6 +553,31 @@ class TestWorkDone:
                           "boundedness_functional": (n_max - 1) * len(xs),
                           "__init__": n_max - 1}
 
+    @pytest.mark.parametrize("name, hooked", [
+        ("cosine", True), ("rademacher", True), ("reflect(cosine)", True),
+        ("reflect2(cosine)", True), ("reflect(rademacher)", True),
+        ("reflect2(rademacher)", True), ("haar", False),
+        ("reflect(haar)", False), ("reflect2(haar)", False)])
+    def test_sweeps_build_no_prefix_table(self, name, hooked, tmp_path,
+                                          monkeypatch):
+        # a mesh_prefix hook makes every prefix without rung-2 rows; the
+        # Haar family takes its points' live rows; neither builds the table
+        counts = Counter()
+        count_calls(monkeypatch, [ons_lab.kernels.KernelContext],
+                    "prefix_table", counts)
+        original = ons_lab.kernels._rows
+
+        def counted(ctx, order, ks, us):
+            counts[f"rows{order}"] += 1
+            return original(ctx, order, ks, us)
+
+        monkeypatch.setattr(ons_lab.kernels, "_rows", counted)
+        code, _ = run_cli(["mn-sweep", "--system", name, "--n-max", "24"],
+                          tmp_path)
+        assert code == 0
+        assert counts["prefix_table"] == 0
+        assert (counts["rows2"] == 0) == hooked
+
     def test_lemma4_finds_live_rows_at_most_twice_per_point(self, tmp_path,
                                                             monkeypatch):
         # the boundary and derivative kernels of one split, each found once

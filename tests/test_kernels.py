@@ -21,6 +21,7 @@ from ons_lab import (
     antiderivative_square_sum,
     boundedness_functional,
     boundedness_functional_naive,
+    boundedness_values,
     cell_abs_integral,
     coefficients,
     cosine_system,
@@ -40,9 +41,15 @@ from ons_lab import (
     system_values,
 )
 from ons_lab.kernels import _abs_piecewise_linear, _prefix_values, _rows
-from ons_lab.systems import breakpoints_upto, eval_matrix, index_table
+from ons_lab.systems import (RADEMACHER_FULL_ROWS, breakpoints_upto,
+                             eval_matrix, index_table)
 
 SQ2 = np.sqrt(2.0)
+
+#: Every system name with a ``mesh_prefix`` hook.
+_HOOKED = ("cosine", "rademacher", "reflect(cosine)", "reflect2(cosine)",
+           "reflect(rademacher)", "reflect2(rademacher)",
+           "reflect(reflect2(cosine))")
 
 
 def cos_phi(k, u):
@@ -231,7 +238,8 @@ class TestExactStepOracle:
     @pytest.mark.parametrize("reflections", [0, 1, 2])
     @pytest.mark.parametrize("base,n", [
         ("haar", 7), ("haar", 64), ("haar", 200),
-        ("rademacher", 7), ("rademacher", 24), ("rademacher", 48)])
+        ("rademacher", 7), ("rademacher", 24), ("rademacher", 48),
+        ("rademacher", 97)])
     def test_boundedness_functional_matches_fractions(self, base, n,
                                                       reflections):
         name = (base, f"reflect({base})", f"reflect2({base})")[reflections]
@@ -422,7 +430,8 @@ class TestDirichletMeanIdentity:
         # the same oracle; a system without closed-form g_k takes g_k(1)
         # from one cumulative pass over phi_k
         base = get_system(name.removesuffix("-stripped"))
-        sys_ = (replace(base, name=name, antideriv=None, antideriv2=None)
+        sys_ = (replace(base, name=name, antideriv=None, antideriv2=None,
+                        mesh_prefix=None)
                 if name.endswith("-stripped") else base)
         ctx = KernelContext(sys_, 32)
         for x in (0.0, 0.3, 0.9):
@@ -517,11 +526,13 @@ class TestNumericAntiderivativeFallback:
         assert cell_abs_integral(ctx, 2, 0.0).value == 0.0
 
     def test_cached_rows_match_recomputation(self):
-        # the numeric prefix table against cosine's closed-form one
+        # the numeric prefix table against cosine's closed-form one; no
+        # prefix path reads it, so it is built on demand and then kept
         ctx = KernelContext(_stripped_cosine(), 8)
-        boundedness_functional(ctx, 0.3)        # populate the prefix table
-        table = ctx._prefix_table
-        assert table is not None and ctx.prefix_table() is table
+        boundedness_functional(ctx, 0.3)
+        assert ctx._prefix_table is None
+        table = ctx.prefix_table()
+        assert ctx._prefix_table is table and ctx.prefix_table() is table
         want = KernelContext(cosine_system(), 8).prefix_table()
         assert np.abs(table - want).max() < 1e-12
 
@@ -555,15 +566,23 @@ class TestNumericAntiderivativeFallback:
             for x in (0.0, 0.3, 0.5, 1 / np.sqrt(2), 1.0):
                 got = ctx.prefixes(x)
                 assert np.abs(got - ref.prefixes(x)).max() < 1e-13
-            # past n = 2 every Haar phi(x) has zeros, so no table is built
-            assert (ctx._prefix_table is None) == (n > 2)
+            # a phi(x) without zeros (n = 2) takes all its rows, no table
+            assert ctx._prefix_table is None
 
-    @pytest.mark.parametrize("name", ["reflect(cosine)", "rademacher"])
-    def test_other_full_support_systems_share_the_table(self, name):
-        ctx = KernelContext(get_system(name), 12)
-        boundedness_functional(ctx, 0.3)
-        assert ctx._prefix_table is not None
-        assert ctx._prefix_table.shape == (12, 12)
+    @pytest.mark.parametrize("name", _HOOKED + ("haar", "reflect(haar)",
+                                                "reflect2(haar)",
+                                                "cosine-stripped"))
+    def test_no_sweep_builds_the_table(self, name, monkeypatch):
+        # hooked systems take their closed form, the rest live rows per point
+        def no_table(self):
+            raise AssertionError("a sweep built the (n, n) prefix table")
+
+        system = (_stripped_cosine() if name == "cosine-stripped"
+                  else get_system(name))
+        assert (system.mesh_prefix is not None) == (name in _HOOKED)
+        monkeypatch.setattr(KernelContext, "prefix_table", no_table)
+        values = boundedness_values(system, (0.0, 0.3, 0.5, 1.0), 12)
+        assert np.isfinite(values).all()
 
     @settings(max_examples=40, deadline=None)
     @given(name=st.sampled_from(CATALOG + ("reflect2(haar)",
@@ -593,7 +612,8 @@ class TestPointBlocks:
     """Mesh prefixes of a block of points: one row per point, each as it
     would be alone."""
 
-    @pytest.mark.parametrize("name", CATALOG + ("reflect2(haar)",))
+    @pytest.mark.parametrize("name", tuple(dict.fromkeys(
+        CATALOG + STEP_CATALOG + _HOOKED)))
     @pytest.mark.parametrize("n", [2, 7, 16, 33])
     def test_rows_equal_one_column_blocks(self, name, n):
         system = get_system(name)
@@ -627,10 +647,11 @@ _POWERS_OF_TWO = tuple(2 ** e for e in range(1, 9))
 
 @st.composite
 def _n_and_point(draw):
-    """An index n <= 300 and a point: 0, 1, a mesh point k/n or interior."""
-    n = draw(st.one_of(st.integers(2, 300), st.sampled_from(_PRIMES),
+    """An index n <= 300 and a point: 0, 1/2, 1, a mesh point k/n or
+    interior."""
+    n = draw(st.one_of(st.integers(1, 300), st.sampled_from(_PRIMES),
                        st.sampled_from(_POWERS_OF_TWO)))
-    x = draw(st.one_of(st.sampled_from([0.0, 1.0]),
+    x = draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
                        st.integers(0, n).map(lambda k: k / n),
                        st.floats(0.0, 1.0)))
     return n, x
@@ -652,6 +673,34 @@ class TestCosineDftPrefixes:
         ts = (np.arange(1, n + 1) / n)[None, :]
         sin2 = 2.0 * SQ2 * np.sin(np.pi * ks * ts) ** 2 / (2 * np.pi * ks) ** 2
         assert np.abs(got - sin2.T @ phi_x).max() <= 1e-15
+
+
+class TestMeshPrefixHooks:
+    """Every system's ``mesh_prefix`` hook against the shared table."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(name=st.sampled_from(_HOOKED), case=_n_and_point())
+    def test_matches_the_table(self, name, case):
+        n, x = case
+        system = get_system(name)
+        ctx = KernelContext(system, n)
+        phi_x = system_values(system, n, x)
+        got = ctx.prefixes(x)
+        assert got.shape == (n,)
+        assert np.abs(got - ctx.prefix_table().T @ phi_x).max() <= 1e-15
+
+    def test_sign_rows_past_the_full_ones_are_linear(self):
+        # rows past RADEMACHER_FULL_ROWS enter as their slopes alone; their
+        # periodic parts, at most 4^(1-k)/32 each, would add less than 2e-19
+        ks = np.arange(RADEMACHER_FULL_ROWS + 1, 200)
+        us = np.linspace(0.0, 1.0, 257)
+        rows = index_table(get_system("rademacher").antideriv2, ks, us)
+        linear = np.ldexp(us[None, :], -1 - ks[:, None])
+        assert np.abs(rows - linear).sum(axis=0).max() < 2e-19
+        w = np.eye(ks[-1])[RADEMACHER_FULL_ROWS:]
+        assert np.array_equal(
+            get_system("rademacher").mesh_prefix(w),
+            np.ldexp(np.arange(1, ks[-1] + 1) / ks[-1], -1 - ks[:, None]))
 
 
 #: Public functions of an evaluation point x, as (system, context, table of
