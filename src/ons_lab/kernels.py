@@ -21,9 +21,10 @@ the antiderivative kernel, its prefix integral) sums one rung's rows where
 On the mesh ``i/n`` a system with a ``mesh_prefix`` hook skips the rows:
 the hook gives all n prefixes of a block of points in closed form (one
 batched real FFT for cosine, a slope and 30 periodic rows for Rademacher,
-the base's hook composed for a reflection).  Any other system takes, per
-point, the rows where ``phi(x)`` is nonzero; a Haar ``phi(x)`` has at most
-log2(n) + 2 of them.
+each live tent's in-support mesh entries and one cumsum of the tents'
+areas for Haar, the base's hook composed for a reflection).  Any other
+system takes one rung-2 pass for the union of the points' nonzero indices,
+and each point sums its own weighted rows.
 
 A :class:`KernelContext` pins ``(system, n, rule)`` and, optionally, a
 set of evaluation points with their block of ``phi_k`` values.  The mesh
@@ -223,8 +224,8 @@ def boundedness_functional(ctx: KernelContext, x: float) -> float:
 
     All n - 1 prefix integrals come from one pass (see
     :func:`_prefix_values`), shared by the context's points: the system's
-    ``mesh_prefix`` hook, and otherwise the rows of the indices where
-    ``phi(x)`` is nonzero.
+    ``mesh_prefix`` hook, and otherwise the rows of the indices where some
+    point's ``phi`` is nonzero.
     """
     if ctx.n < 2:
         raise ValueError("boundedness functional needs n >= 2")
@@ -238,18 +239,19 @@ def _prefix_values(ctx: KernelContext, phi: np.ndarray) -> np.ndarray:
     ``(X, n)`` result holds x_j's.
 
     The system's ``mesh_prefix`` hook, given ``phi(x_j)`` as contiguous
-    rows; otherwise ``phi(x_j)`` times the rung-2 rows of :func:`_rows` on
-    the mesh where it is nonzero, point by point.  Either way each point's
-    prefixes do not depend on the others.
+    rows; otherwise one rung-2 :func:`_rows` pass on the mesh for the union
+    of the points' nonzero indices, each point's weighted rows summed on
+    their own.  Either way each point's prefixes do not depend on the
+    others: a row of zero weight adds an exact zero.
     """
     vecs = np.ascontiguousarray(phi.T)
     if ctx.system.mesh_prefix is not None:
         return ctx.system.mesh_prefix(vecs)
-    mesh = np.arange(1, ctx.n + 1) / ctx.n
+    union = np.flatnonzero(vecs.any(axis=0))
+    rows = _rows(ctx, 2, union + 1, np.arange(1, ctx.n + 1) / ctx.n)
     out = np.empty_like(vecs)
     for j, phi_x in enumerate(vecs):
-        live = np.flatnonzero(phi_x)
-        out[j] = phi_x[live] @ _rows(ctx, 2, live + 1, mesh)
+        out[j] = (phi_x[union][:, None] * rows).sum(axis=0)
     return out
 
 

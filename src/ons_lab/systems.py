@@ -213,6 +213,40 @@ def _haar_antideriv2(k, u):
     return np.where(k == 1, 0.5 * u * u, tent)
 
 
+def _haar_mesh_prefix(w):
+    # row 1 is u^2/2.  A live row m >= 2 of scale B = 2^s and support
+    # [(j-1)/B, j/B] is 0 up to mesh index lo - 1 = (j-1)n // B, then
+    # amp/2 (u - a)^2 up to its midpoint, the tent's area amp/(4B^2) less
+    # amp/2 (b - u)^2 up to hi - 1 = ceil(jn/B) - 1, and the area from hi on.
+    # In mesh units i = nu both halves are +-amp/(2n^2) (i - e)^2 with e =
+    # (j-1)n/B or jn/B: one flat bincount scatters them, and the areas enter
+    # at the midpoint through one cumsum.  Supports nest around a point, so
+    # it takes about 2n entries.  A point's entries add in row order, apart
+    # from the other points', so its prefixes are those of a block of its own
+    points, n = w.shape
+    point, col = np.nonzero(w[:, 1:])
+    m = col + 2
+    block = np.left_shift(1, np.frexp(m - 1)[1] - 1)
+    j = m - block
+    lo = (j - 1) * n // block + 1
+    mid, hi = -(-n * (2 * j - np.array([[1], [0]])) // (2 * block))
+    wamp = w[point, m - 1] * np.sqrt(block)
+    first = point * n - 1               # + i: the flat index of mesh index i
+    counts = np.concatenate((mid - lo, hi - mid))
+    flat = np.arange(counts.sum()) + np.repeat(
+        np.concatenate((first + lo, first + mid)) - np.cumsum(counts)
+        + counts, counts)
+    vertex = (first + n * np.stack((j - 1, j)) / block).ravel()
+    coef = np.concatenate((wamp, -wamp)) / (2.0 * n * n)
+    inside = np.bincount(flat, (flat - np.repeat(vertex, counts)) ** 2
+                         * np.repeat(coef, counts), minlength=points * n)
+    areas = np.bincount(point * n + mid - 1, wamp / (4.0 * block * block),
+                        minlength=points * n).reshape(points, n)
+    i = np.arange(1, n + 1)
+    return (inside.reshape(points, n) + areas.cumsum(axis=1)
+            + w[:, :1] * (i * i / (2.0 * n * n)))
+
+
 def _haar_period(k: int) -> tuple:
     # no repeats: the support's ends and midpoint inside (0, 1); k = 1,
     # whose block data is a = 0, c = 1, b = 2, has none
@@ -229,6 +263,7 @@ def haar_system() -> SystemHandle:
         piecewise_constant=True,
         antideriv2=_haar_antideriv2,
         period=_haar_period,
+        mesh_prefix=_haar_mesh_prefix,
     )
 
 

@@ -556,12 +556,12 @@ class TestWorkDone:
     @pytest.mark.parametrize("name, hooked", [
         ("cosine", True), ("rademacher", True), ("reflect(cosine)", True),
         ("reflect2(cosine)", True), ("reflect(rademacher)", True),
-        ("reflect2(rademacher)", True), ("haar", False),
-        ("reflect(haar)", False), ("reflect2(haar)", False)])
+        ("reflect2(rademacher)", True), ("haar", True),
+        ("reflect(haar)", True), ("reflect2(haar)", True)])
     def test_sweeps_build_no_prefix_table(self, name, hooked, tmp_path,
                                           monkeypatch):
-        # a mesh_prefix hook makes every prefix without rung-2 rows; the
-        # Haar family takes its points' live rows; neither builds the table
+        # a mesh_prefix hook makes every prefix without rung-2 rows, and no
+        # sweep builds the table
         counts = Counter()
         count_calls(monkeypatch, [ons_lab.kernels.KernelContext],
                     "prefix_table", counts)
@@ -577,6 +577,28 @@ class TestWorkDone:
         assert code == 0
         assert counts["prefix_table"] == 0
         assert (counts["rows2"] == 0) == hooked
+
+    def test_hookless_sweep_makes_one_row_pass_per_index(self, tmp_path,
+                                                         monkeypatch):
+        # a system without closed forms takes the rung-2 rows of its points'
+        # live indices once per n, shared by every point
+        stripped = replace(ons_lab.systems.cosine_system(), antideriv=None,
+                           antideriv2=None, mesh_prefix=None)
+        monkeypatch.setitem(ons_lab.systems._SYSTEM_BUILDERS, "cosine",
+                            lambda: stripped)
+        counts, original = Counter(), ons_lab.kernels._rows
+
+        def counted(ctx, order, ks, us):
+            counts[order] += 1
+            return original(ctx, order, ks, us)
+
+        monkeypatch.setattr(ons_lab.kernels, "_rows", counted)
+        n_max = 12
+        code, _ = run_cli(["mn-sweep", "--system", "cosine", "--n-max",
+                           str(n_max), "--x", "0,0.3,0.7071067811865476,1"],
+                          tmp_path)
+        assert code == 0
+        assert counts[2] == n_max - 1
 
     def test_lemma4_finds_live_rows_at_most_twice_per_point(self, tmp_path,
                                                             monkeypatch):

@@ -49,7 +49,8 @@ SQ2 = np.sqrt(2.0)
 #: Every system name with a ``mesh_prefix`` hook.
 _HOOKED = ("cosine", "rademacher", "reflect(cosine)", "reflect2(cosine)",
            "reflect(rademacher)", "reflect2(rademacher)",
-           "reflect(reflect2(cosine))")
+           "reflect(reflect2(cosine))", "haar", "reflect(haar)",
+           "reflect2(haar)")
 
 
 def cos_phi(k, u):
@@ -237,7 +238,8 @@ class TestExactStepOracle:
     # fails where M_n is 0 or tiny (haar, n = 64, x = 1 is exactly 0)
     @pytest.mark.parametrize("reflections", [0, 1, 2])
     @pytest.mark.parametrize("base,n", [
-        ("haar", 7), ("haar", 64), ("haar", 200),
+        ("haar", 7), ("haar", 64), ("haar", 200), ("haar", 1000),
+        ("haar", 1024),
         ("rademacher", 7), ("rademacher", 24), ("rademacher", 48),
         ("rademacher", 97)])
     def test_boundedness_functional_matches_fractions(self, base, n,
@@ -556,10 +558,12 @@ class TestNumericAntiderivativeFallback:
 
     @pytest.mark.parametrize("name", ["haar", "reflect(haar)"])
     def test_numeric_sparse_rows_match_closed_form(self, name):
-        # without antideriv2 a phi(x) with zeros takes numeric rows of its
-        # nonzero entries only; the tents integrate exactly between jumps
+        # without antideriv2 (and the hook made from it) a phi(x) with zeros
+        # takes numeric rows of its nonzero entries only; the tents
+        # integrate exactly between jumps
         closed = get_system(name)
-        stripped = replace(closed, name=f"{name}-stripped", antideriv2=None)
+        stripped = replace(closed, name=f"{name}-stripped", antideriv2=None,
+                           mesh_prefix=None)
         for n in (2, 7, 32, 64):
             ctx = KernelContext(stripped, n)
             ref = KernelContext(closed, n)
@@ -569,11 +573,10 @@ class TestNumericAntiderivativeFallback:
             # a phi(x) without zeros (n = 2) takes all its rows, no table
             assert ctx._prefix_table is None
 
-    @pytest.mark.parametrize("name", _HOOKED + ("haar", "reflect(haar)",
-                                                "reflect2(haar)",
-                                                "cosine-stripped"))
+    @pytest.mark.parametrize("name", _HOOKED + ("cosine-stripped",))
     def test_no_sweep_builds_the_table(self, name, monkeypatch):
-        # hooked systems take their closed form, the rest live rows per point
+        # hooked systems take their closed form, the rest the rows of their
+        # points' live indices
         def no_table(self):
             raise AssertionError("a sweep built the (n, n) prefix table")
 
@@ -676,7 +679,8 @@ class TestCosineDftPrefixes:
 
 
 class TestMeshPrefixHooks:
-    """Every system's ``mesh_prefix`` hook against the shared table."""
+    """Every system's ``mesh_prefix`` hook against the shared table, and the
+    Haar family's against its live rows at large n."""
 
     @settings(max_examples=120, deadline=None)
     @given(name=st.sampled_from(_HOOKED), case=_n_and_point())
@@ -688,6 +692,25 @@ class TestMeshPrefixHooks:
         got = ctx.prefixes(x)
         assert got.shape == (n,)
         assert np.abs(got - ctx.prefix_table().T @ phi_x).max() <= 1e-15
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(["haar", "reflect(haar)", "reflect2(haar)"]),
+           n=st.integers(2, 4096),
+           x=st.integers(0, 12).flatmap(
+               lambda s: st.integers(0, 2 ** s).map(lambda j: j / 2 ** s)))
+    def test_haar_family_at_support_edges(self, name, n, x):
+        # x on a dyadic support edge (0 and 1 included), where the live
+        # rows change; the reference sums x's live rung-2 rows, and a block
+        # with a second point leaves x's row as it is alone
+        system = get_system(name)
+        phi = eval_matrix(system, n, [x, 0.3])
+        live = np.flatnonzero(phi[:, 0])
+        rows = _rows(KernelContext(system, n), 2, live + 1,
+                     np.arange(1, n + 1) / n)
+        got = system.mesh_prefix(np.ascontiguousarray(phi[:, :1].T))[0]
+        assert np.abs(got - phi[live, 0] @ rows).max() <= 1e-15
+        block = system.mesh_prefix(np.ascontiguousarray(phi.T))
+        assert np.array_equal(block[0], got)
 
     def test_sign_rows_past_the_full_ones_are_linear(self):
         # rows past RADEMACHER_FULL_ROWS enter as their slopes alone; their
