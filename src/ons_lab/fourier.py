@@ -12,8 +12,11 @@ local (double-integral) sum runs over all n cells, and misses an O(1/n)
 remainder when that sum stops at n - 1 as sometimes printed.  Both
 variants are computed so the difference can be reported.
 
-Coefficient tables take the rule of a :class:`KernelContext` and carry
-their system and function, which their readers take from them.
+Both terms of the split are linear in two tables, ``<f, phi_k>`` and
+``<f', g_k>``, since ``Q_n(u, x) = sum_k phi_k(x) g_k(u)``.  A
+:class:`KernelContext` makes each once per function, on the fine-pass
+mesh of its rule, and every x reads them.  Coefficient tables carry their
+system and function, which their readers take from them.
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import IndexOutOfRange, InvalidConfig, MissingDerivative
-from .kernels import KernelContext, _section, dirichlet_mean
-from .quadrature import (QuadratureRule, cell_integrals, cell_mesh,
-                         cumulative_integral, integrate)
+from .kernels import KernelContext, _live_rows, _rows, _section, dirichlet_mean
+from .quadrature import (QuadratureRule, _inner_breakpoints, _sample,
+                         cell_integrals, cell_mesh, cumulative_integral)
 from .systems import (
     FunctionSpec,
     SystemHandle,
@@ -35,6 +38,9 @@ from .systems import (
     eval_matrix,
     system_values,
 )
+
+#: Entries of one block of element rows in a dense mesh product.
+_BLOCK_ENTRIES = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -53,23 +59,78 @@ class CoefficientTable:
 def coefficients(ctx: KernelContext, f: FunctionSpec) -> CoefficientTable:
     """Coefficients ``C_k = int_0^1 f phi_k`` for k = 1..n of ``ctx``.
 
-    Both paths sample ``f`` on the fine-pass nodes of the context's rule,
-    joined by ``f.breakpoints``.  A step system is constant on each cell
-    between its breakpoints, so ``f`` is integrated per cell
-    (:func:`cell_integrals`) and weighed by the elements' values at the cell
-    midpoints: an ``(n, cells)`` table instead of ``(n, nodes)``.
+    Made once per context and function, on the fine-pass nodes of the
+    context's rule joined by ``f.breakpoints``; later calls share the
+    read-only table.  A step system is constant on each cell between its
+    breakpoints, so ``f`` is integrated per cell (:func:`cell_integrals`)
+    and weighed by the elements' values at the cell midpoints: an
+    ``(n, cells)`` table, which the context builds once for every function.
+    Any other system sums the weighted values of ``f`` against its elements
+    (:func:`_mesh_table`): the system's ``mesh_coefficients`` hook on each
+    segment it serves, one FFT pass per segment for the cosine family, and
+    a dense product in blocks of nodes elsewhere.
     """
-    system, n = ctx.system, ctx.n
-    rule = ctx.rule.with_breakpoints(f.breakpoints)
-    if system.piecewise_constant:
-        edges = np.concatenate(([0.0], ctx.rule.breakpoints, [1.0]))
-        cells = cell_integrals(f.eval, edges[1:], rule)
-        table = eval_matrix(system, n, (edges[:-1] + edges[1:]) / 2.0)
-        return CoefficientTable(system, f, table @ cells)
+    return CoefficientTable(ctx.system, f, _function_table(ctx, f, 0))
+
+
+def _function_table(ctx: KernelContext, f: FunctionSpec,
+                    order: int) -> np.ndarray:
+    """``int_0^1 f phi_k`` (order 0) or ``int_0^1 f' g_k`` (order 1) for
+    k = 1..n of ``ctx``, built on first use and kept by the context."""
+    key = (id(f), order)                # the entry holds f, so the id is f's
+    if key not in ctx._tables:
+        rule = ctx.rule.with_breakpoints(f.breakpoints)
+        fn = (f.eval, f.deriv)[order]
+        if order == 0 and ctx.system.piecewise_constant:
+            edges = np.concatenate(([0.0], ctx.rule.breakpoints, [1.0]))
+            cells = cell_integrals(fn, edges[1:], rule)
+            if "midpoints" not in ctx._tables:
+                ctx._tables["midpoints"] = eval_matrix(
+                    ctx.system, ctx.n, (edges[:-1] + edges[1:]) / 2.0)
+            table = ctx._tables["midpoints"] @ cells
+        else:
+            table = _mesh_table(ctx, rule, fn, order)
+        table.flags.writeable = False
+        ctx._tables[key] = f, table
+    return ctx._tables[key][1]
+
+
+def _mesh_table(ctx: KernelContext, rule: QuadratureRule, fn: Callable,
+                order: int) -> np.ndarray:
+    """``T[k - 1] = sum_j a_j R_k(u_j)`` with ``a_j = w_j fn(u_j)`` over the
+    fine-pass mesh of ``rule``, ``cell_mesh((0, 1), rule, 2 * rule.panels)``,
+    for ``R_k = phi_k`` (order 0) or ``g_k`` (order 1), k = 1..n.
+
+    Each breakpoint segment goes to the system's ``mesh_coefficients`` hook;
+    the segments it declines, or all of them without a hook, take rung
+    ``order`` of :func:`_rows` in blocks of nodes, so memory stays
+    O(:data:`_BLOCK_ENTRIES`) however large n and the mesh are.
+    """
     nodes, weights, _ = cell_mesh((0.0, 1.0), rule, 2 * rule.panels)
-    f_vals = np.broadcast_to(np.asarray(f.eval(nodes), dtype=float), nodes.shape)
-    table = eval_matrix(system, n, nodes)
-    return CoefficientTable(system, f, table @ (weights * f_vals))
+    a = weights * _sample(fn, nodes)
+    n, hook = ctx.n, ctx.system.mesh_coefficients
+    out = np.zeros(n)
+    if hook is not None:
+        edges = np.concatenate(([0.0], _inner_breakpoints(rule, 0.0, 1.0),
+                                [1.0]))
+        # one row of each segment's nodes, by panel and Gauss node
+        segments = a.reshape(len(edges) - 1, 1, 2 * rule.panels, rule.order)
+        declined = np.ones(len(segments), dtype=bool)
+        for s, seg in enumerate(segments):
+            tables = hook(seg, edges[s], edges[s + 1], n)
+            if tables is not None:
+                out += tables[order][0]
+                declined[s] = False
+        keep = np.repeat(declined, segments[0].size)
+        nodes, a = nodes[keep], a[keep]
+    ks, block = np.arange(1, n + 1), max(1, _BLOCK_ENTRIES // n)
+    for i in range(0, len(nodes), block):
+        # numpy's pairwise sum along each row, not a BLAS product, keeps
+        # the step systems' tables as close to the exact values as the
+        # per-x quadrature they replace
+        rows = _rows(ctx, order, ks, nodes[i:i + block])
+        out += (rows * a[i:i + block]).sum(axis=1)
+    return out
 
 
 def partial_sum(table: CoefficientTable, n: int, x) -> float:
@@ -112,9 +173,12 @@ def partial_sum_by_parts(ctx: KernelContext, table: CoefficientTable,
 
     The table must hold the coefficients of the context's system, at least
     n of them, so one table serves every n up to its length.  Requires
-    ``f.deriv``.  The derivative term integrates ``f'(u)`` against the
-    antiderivative kernel in the integration variable.  One context serves
-    every x, so a sweep builds its quadrature rule once.
+    ``f.deriv``.  The derivative term ``int f'(u) Q_n(u, x) du`` is
+    ``sum_k phi_k(x) <f', g_k>``, a ``math.fsum`` over the rows where
+    ``phi_k(x) != 0`` of one table of ``<f', g_k>`` that the context makes
+    on first use like :func:`coefficients` and shares with every x.  It
+    integrates ``f'``, not ``f``, so the split's residual still compares two
+    computations.
     """
     f = table.function
     if f.deriv is None:
@@ -123,12 +187,9 @@ def partial_sum_by_parts(ctx: KernelContext, table: CoefficientTable,
         raise InvalidConfig(f"table: coefficients against {table.system.name!r}"
                             f", but the context's system is {ctx.system.name!r}")
     lhs = partial_sum(table, ctx.n, x)
-    quad_rule = ctx.rule.with_breakpoints(f.breakpoints)
     boundary = f.value_at_1 * dirichlet_mean(ctx, x)
-    deriv, kernel = f.deriv, _section(ctx, x)
-    derivative_term = integrate(
-        lambda u: np.broadcast_to(np.asarray(deriv(u), dtype=float), u.shape)
-        * kernel(u), quad_rule).value
+    ks, weights = _live_rows(ctx, x)
+    derivative_term = math.fsum(weights * _function_table(ctx, f, 1)[ks - 1])
     return ByPartsSplit(lhs, boundary, derivative_term)
 
 

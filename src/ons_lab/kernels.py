@@ -32,7 +32,9 @@ prefixes of all its points come from one pass over that block on first
 use, and a point outside the set is a one-column block of its own.  The
 quadrature rule and the points' prefixes are built on first use, so
 closed-form paths never construct a rule; so is the ``(n, n)`` prefix
-table, which only tests read.  Contexts are read-only after construction
+table, which only tests read, and so are the coefficient tables
+``<f, phi_k>`` and ``<f', g_k>`` that :mod:`ons_lab.fourier` keeps on the
+context, one per function.  Contexts are read-only after construction
 apart from those caches; evaluations are pure.
 
 Step systems with closed-form antiderivatives need no quadrature for the
@@ -104,6 +106,7 @@ class KernelContext:
         self._phi = phi
         self._point_prefixes = None  # prefixes at the points, (len(points), n)
         self._prefix_table = None    # int_0^{i/n} g_k, shape (n, n)
+        self._tables = {}            # fourier's coefficient tables, by key
 
     @cached_property
     def rule(self) -> QuadratureRule:

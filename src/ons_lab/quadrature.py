@@ -7,13 +7,15 @@ value with an error estimate from re-running at twice the panel count;
 fine pass alone, with no estimate, as the prefix sums of the per-cell
 values of :func:`cell_integrals`; :func:`integrate_abs` first splits
 ``|f|`` at the zeros of ``f``.  Not every integral goes through these.
-Fourier coefficients and Gram matrices of smooth systems are dense
-products over :func:`cell_mesh` nodes.  Step systems avoid those
-products: their coefficients weigh per-cell integrals of ``f`` by element
-values at cell midpoints, and their Gram rows and Lemma 3 cell integrals
-are exact sums over antiderivative values at breakpoints.  The
-boundedness sweeps read closed-form antiderivatives wherever a system has
-them.
+The tables ``<f, phi_k>`` of smooth systems and ``<f', g_k>`` of every
+system are sums over :func:`cell_mesh` nodes: one FFT per breakpoint
+segment for the cosine family (its ``mesh_coefficients`` hook), a dense
+product in blocks of nodes otherwise.  Gram matrices of smooth systems
+are one dense product.  Step systems' coefficients weigh per-cell
+integrals of ``f`` by element values at cell midpoints, and their Gram
+rows and Lemma 3 cell integrals are exact sums over antiderivative values
+at breakpoints.  The boundedness sweeps read closed-form antiderivatives
+wherever a system has them.
 Piecewise-constant integrands whose jumps are declared as breakpoints are
 integrated exactly up to rounding; smooth oscillatory integrands converge
 spectrally once the panel width resolves the oscillation.
@@ -180,11 +182,15 @@ def _sample(f: Callable, nodes: np.ndarray) -> np.ndarray:
 
 
 def _sample_blocks(f: Callable, nodes: np.ndarray) -> np.ndarray:
-    """``f`` on many nodes, one call per ``_SAMPLE_BLOCK`` of them; no nodes
-    still make one call, which tells how many rows ``f`` returns."""
-    return np.concatenate([_sample(f, nodes[i:i + _SAMPLE_BLOCK])
-                           for i in range(0, max(len(nodes), 1),
-                                          _SAMPLE_BLOCK)], axis=-1)
+    """``f`` on many nodes, one call per ``_SAMPLE_BLOCK`` of them, written
+    into one array; no nodes still make one call, which tells how many rows
+    ``f`` returns."""
+    first = _sample(f, nodes[:_SAMPLE_BLOCK])
+    out = np.empty(first.shape[:-1] + nodes.shape)
+    out[..., :first.shape[-1]] = first
+    for i in range(_SAMPLE_BLOCK, len(nodes), _SAMPLE_BLOCK):
+        out[..., i:i + _SAMPLE_BLOCK] = _sample(f, nodes[i:i + _SAMPLE_BLOCK])
+    return out
 
 
 def integrate(f: Callable, rule: QuadratureRule,
@@ -236,7 +242,8 @@ def cell_integrals(f: Callable, grid: Sequence[float],
         raise InvalidInterval("grid must be a non-empty 1-d sequence")
     nodes, weights, starts = cell_mesh(np.concatenate([[0.0], pts]), rule,
                                        2 * rule.panels)
-    vals = weights * _sample_blocks(f, nodes)
+    vals = _sample_blocks(f, nodes)
+    vals *= weights
     cells = np.zeros(vals.shape[:-1] + pts.shape)
     filled = np.diff(starts, append=len(nodes)) > 0
     if np.any(filled):

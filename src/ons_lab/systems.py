@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidConfig, OnsLabError, UnknownFunction, UnknownSystem
-from .quadrature import QuadratureRule, cell_mesh, integrate
+from .quadrature import QuadratureRule, _gauss_nodes, cell_mesh, integrate
 
 SQRT2 = np.sqrt(2.0)
 
@@ -70,6 +70,16 @@ class SystemHandle:
         ``P[j, i - 1] = sum_k w[j, k - 1] antideriv2(k, i / n)``; linear in
         w, and row j of P depends on row j of w alone, bit for bit.  A
         handle stripped of ``antideriv2`` must drop it too.
+    mesh_coefficients : callable or None
+        Closed-form sums over one breakpoint segment ``[lo, hi]`` of a
+        quadrature mesh, ``(a, lo, hi, n) -> (C, G)`` or None.  ``a[r, p,
+        q]`` is a weighted value at node ``lo + (p + t_q) h`` of the
+        segment's uniform panels of width ``h = (hi - lo) / panels``, where
+        ``t_q`` are the Gauss-Legendre nodes of order ``a.shape[2]`` on [0,
+        1]; then ``C[r, k - 1] = sum a[r] eval(k, .)`` and ``G[r, k - 1] =
+        sum a[r] antideriv(k, .)`` over the segment's nodes, k = 1..n.  None
+        declines the segment, which then takes a dense product.  A handle
+        stripped of ``antideriv`` must drop it too.
     """
 
     name: str
@@ -79,6 +89,7 @@ class SystemHandle:
     antideriv2: Optional[Callable] = None
     period: Callable[[int], tuple] = lambda k: (1, ())
     mesh_prefix: Optional[Callable] = None
+    mesh_coefficients: Optional[Callable] = None
 
     @property
     def exact_steps(self) -> bool:
@@ -153,6 +164,31 @@ def _cosine_mesh_prefix(w):
         (re[:, 1:], re[:, (n + 1) // 2 - 1:0:-1], re[:, :1]), axis=1)
 
 
+def _cosine_mesh_coefficients(a, lo, hi, n):
+    # With h = (hi - lo) / panels = 1 / L for an integer L, the node
+    # lo + (p + t_q) h gives sum_p a[p, q] e^(-2 pi i k u) = e^(-2 pi i k lo)
+    # e^(-2 pi i k t_q / L) FFT_L(a[:, q])[k mod L]: one zero-padded FFT per
+    # Gauss node.  Every phase is reduced first, k lo mod 1 in integers (lo
+    # is dyadic) and k mod L, so no argument of exp exceeds 2 pi.  A segment
+    # whose L is no integer, or whose FFTs (about L log2 L per node) would
+    # cost more than a quarter of the dense product's n * panels, is declined
+    _, panels, order = a.shape
+    start = Fraction(lo)
+    length = panels / (Fraction(hi) - start)
+    if (length.denominator != 1 or start.denominator > 2 ** 31
+            or length * int(length).bit_length() > 4 * n * panels):
+        return None
+    length = int(length)
+    ks = np.arange(1, n + 1)
+    spectra = np.fft.fft(a.transpose(0, 2, 1), length)[:, :, ks % length]
+    tau = (_gauss_nodes(order)[0] + 1.0) / 2.0
+    turns = np.mod(ks[:, None] * tau / length, 1.0)
+    sums = np.einsum("rqk,kq->rk", spectra, np.exp(-2j * np.pi * turns))
+    sums *= np.exp(-2j * np.pi * (ks * start.numerator % start.denominator)
+                   / start.denominator)
+    return SQRT2 * sums.real, -SQRT2 / (2.0 * np.pi * ks) * sums.imag
+
+
 def cosine_system() -> SystemHandle:
     """Full-period cosine system ``sqrt(2) cos(2 pi k u)``, k >= 1."""
     return SystemHandle(
@@ -161,6 +197,7 @@ def cosine_system() -> SystemHandle:
         antideriv=_cosine_antideriv,
         antideriv2=_cosine_antideriv2,
         mesh_prefix=_cosine_mesh_prefix,
+        mesh_coefficients=_cosine_mesh_coefficients,
     )
 
 
@@ -390,6 +427,23 @@ def compress_reflect(base: SystemHandle) -> SystemHandle:
         return np.where(right, 0.25 * pb[:, n:]
                         + 0.5 * mean * (i / n - 0.5) - 0.25 * a2, 0.25 * a2)
 
+    def reflected_mesh_coefficients(a, lo, hi, n):
+        # a segment inside one half is a segment of the base's mesh, twice as
+        # wide; one across 1/2 is declined.  On the right half the elements
+        # flip sign and g_k = g_B(1)/2 - g_B(2u - 1)/2
+        if lo < 0.5 < hi:
+            return None
+        shift = 1.0 if lo >= 0.5 else 0.0
+        tables = base.mesh_coefficients(a, 2.0 * lo - shift,
+                                        2.0 * hi - shift, n)
+        if tables is None:
+            return None
+        if not shift:
+            return tables[0], 0.5 * tables[1]
+        mass = a.sum(axis=(1, 2))[:, None]
+        return -tables[0], 0.5 * (mass * anti(np.arange(1, n + 1), 1.0)
+                                  - tables[1])
+
     def period(k: int) -> tuple:
         # the base element's jumps in each half, and the joint at 1/2
         half = element_breakpoints(base, k) / 2.0
@@ -404,6 +458,9 @@ def compress_reflect(base: SystemHandle) -> SystemHandle:
         period=period,
         mesh_prefix=(None if anti is None or base.mesh_prefix is None
                      else reflected_mesh_prefix),
+        mesh_coefficients=(None if anti is None
+                           or base.mesh_coefficients is None
+                           else reflected_mesh_coefficients),
     )
 
 

@@ -602,20 +602,75 @@ class TestWorkDone:
 
     def test_lemma4_finds_live_rows_at_most_twice_per_point(self, tmp_path,
                                                             monkeypatch):
-        # the boundary and derivative kernels of one split, each found once
-        # per point rather than once per quadrature sample block
+        # the boundary kernel and the derivative table's weights of one
+        # split, each found once per point rather than once per quadrature
+        # sample block
         original, points = ons_lab.kernels._live_rows, []
 
         def counted(ctx, x):
             points.append(x)
             return original(ctx, x)
 
-        monkeypatch.setattr(ons_lab.kernels, "_live_rows", counted)
+        for module in (ons_lab.kernels, ons_lab.fourier):
+            monkeypatch.setattr(module, "_live_rows", counted)
         code, _ = run_cli(["lemma4", "--system", "rademacher", "--n", "12"],
                           tmp_path)
         x_grid = REGISTRY["lemma4"].flags["x"]
         assert code == 0
         assert sorted(points) == sorted(2 * x_grid)
+
+
+    @pytest.mark.parametrize("name", [
+        "cosine", "reflect(cosine)", "reflect2(cosine)", "haar",
+        "reflect(haar)", "reflect2(haar)", "rademacher",
+        "reflect(rademacher)", "reflect2(rademacher)"])
+    def test_lemma4_integrates_nothing_per_point(self, name, tmp_path,
+                                                 monkeypatch):
+        # the derivative term reads one <f', g_k> table per run, made on one
+        # mesh, like the coefficients, however many points are given
+        for xs in ("0.3", "0,0.25,0.3,0.7071067811865476,1"):
+            counts = Counter()
+            for owners, attr in (([ons_lab.quadrature], "integrate"),
+                                 ([ons_lab.quadrature], "cell_mesh")):
+                count_calls(monkeypatch, owners, attr, counts)
+            code, _ = run_cli(["lemma4", "--system", name, "--n", "8",
+                               "--x", xs], tmp_path)
+            monkeypatch.undo()
+            assert code == 0
+            assert counts == {"cell_mesh": 2}, xs
+
+    @pytest.mark.parametrize("name", ["cosine", "reflect(cosine)",
+                                      "reflect2(cosine)"])
+    def test_hooked_coefficients_sample_no_element_rows(self, name, tmp_path,
+                                                        monkeypatch):
+        # the hook sums the mesh by FFT; eval_matrix only gives phi at the
+        # points, one column each
+        columns, original = [], ons_lab.systems.eval_matrix
+
+        def recorded(system, n, us):
+            columns.append(np.size(us))
+            return original(system, n, us)
+
+        modules = [m for m in list(sys.modules.values())
+                   if m is not None and m.__name__.startswith("ons_lab")]
+        for module in modules:
+            if vars(module).get("eval_matrix") is original:
+                monkeypatch.setattr(module, "eval_matrix", recorded)
+        code, _ = run_cli(["e-phi", "--system", name, "--n-max", "64"],
+                          tmp_path)
+        assert code == 0
+        assert columns and max(columns) <= 64
+
+    def test_step_midpoint_table_once_per_context(self, tmp_path,
+                                                  monkeypatch):
+        # five coefficient tables on two reflected systems' contexts, one
+        # table of element values at the cell midpoints per context
+        counts = Counter()
+        count_calls(monkeypatch, [ons_lab.systems], "eval_matrix", counts)
+        code, _ = run_cli(["theorem4-moments", "--base", "haar", "--n", "16"],
+                          tmp_path)
+        assert code == 0
+        assert counts["eval_matrix"] == 2
 
 
 class TestConfigObject:
