@@ -6,6 +6,8 @@ maximum against ``log n`` over the top half of the range, and a
 three-way classification.  The classification is evidence, never proof:
 O(1) versus divergence cannot be decided from finitely many indices, so
 the thresholds are explicit and overridable.
+The Theorem 3 pairing split reads the mesh prefixes of ``Q_n(., t)`` that
+the ``M_n(t)`` sweep reads, and integrates only the direct pairing.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .kernels import (
     _section,
     boundedness_functional,
 )
-from .quadrature import cumulative_integral
+from .quadrature import cell_integrals
 from .systems import (
     FunctionSpec,
     SystemHandle,
@@ -369,26 +371,23 @@ def pairing_split(ctx: KernelContext, f: FunctionSpec, t: float) -> PairingSplit
     The three pieces are the Abel-summed boundary differences against the
     prefix integrals, the within-cell variation term, and the endpoint
     term ``f(1) * int_0^1 Q``; their sum reproduces the direct pairing
-    exactly in exact arithmetic.  Cells take cell-sized panels.
+    exactly in exact arithmetic.  The prefixes ``int_0^{i/n} Q`` are the
+    context's mesh prefixes, bit for bit those of the sweep's ``M_n(t)``;
+    the direct pairing is one quadrature pass with cell-sized panels.
     """
     _check_x(t, "t")
     n = ctx.n
     rule = _cell_rule(ctx.rule, 1.0 / n).with_breakpoints(f.breakpoints)
     grid = np.arange(1, n + 1) / n
     kernel = _section(ctx, t)
-
-    def q_and_fq(u):
-        q = kernel(u)
-        return np.stack((q, np.asarray(f.eval(u), dtype=float) * q))
-
-    q_prefix, fq_prefix = cumulative_integral(q_and_fq, grid, rule)
-    q_cells = np.diff(q_prefix, prepend=0.0)
-    fq_cells = np.diff(fq_prefix, prepend=0.0)
+    q_prefix = ctx.prefixes(t)
     f_grid = np.asarray(f.eval(grid), dtype=float)
 
-    direct = float(fq_prefix[-1])
+    direct = float(cell_integrals(
+        lambda u: np.asarray(f.eval(u), dtype=float) * kernel(u),
+        grid, rule).sum())
     boundary = float(np.dot(f_grid[:-1] - f_grid[1:], q_prefix[:-1]))
-    local = float(fq_cells.sum() - np.dot(f_grid, q_cells))
+    local = direct - float(np.dot(f_grid, np.diff(q_prefix, prepend=0.0)))
     tail = float(f.value_at_1 * q_prefix[-1])
     return PairingSplit(direct, boundary, local, tail)
 

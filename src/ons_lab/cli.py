@@ -19,7 +19,8 @@ the value the run used (given or default; ``null`` for an unset optional
 flag), after the fixed ``system`` of ``theorem5`` and ``theorem6``.
 
 Exit codes: 0 on success, 1 on a usage error (unknown flag or name,
-invalid configuration, a NaN tolerance or threshold) with a one-line
+invalid configuration, a NaN tolerance or threshold, a size past the
+doubles one array holds) or on running out of memory, with a one-line
 message, 2 when a command's invariant check fails (for example a Gram
 matrix off identity beyond tolerance).
 
@@ -46,6 +47,9 @@ import numpy as np
 from . import analysis, fourier, kernels, systems
 from .analysis import ClassificationThresholds
 from .errors import InvalidConfig, OnsLabError
+
+#: Most doubles one numpy array holds; a larger size is a usage error.
+_MAX_ENTRIES = np.iinfo(np.intp).max // np.dtype(float).itemsize
 
 #: Systems swept by commands that default to the whole catalog.
 CATALOG_SYSTEMS = ("cosine", "haar", "rademacher", "reflect(cosine)",
@@ -149,6 +153,12 @@ class ExperimentConfig:
         for key, n in sizes:
             if n < 1:
                 raise InvalidConfig(f"{key}: must be >= 1, got {n}")
+        sizes += [(k, values[k]) for k in ("points", "grid_size")
+                  if k in values]
+        for key, n in sizes:
+            if n > _MAX_ENTRIES:
+                raise InvalidConfig(f"{key}: must be <= {_MAX_ENTRIES}, "
+                                    f"got {n}")
 
 
 #: CSV text of a value by its column's numpy dtype kind: true/false,
@@ -301,10 +311,10 @@ def _run_lemma3(config: ExperimentConfig):
         for x in config.values["x"]:
             phi = systems.system_values(system, n, x)
             rhs = float(np.sqrt((phi ** 2).sum()) / n)
-            for i in range(1, n + 1):
-                lhs = kernels.cell_abs_integral(ctx, i, x).value
-                worst = max(worst, lhs - rhs)
-                rows.append((n, float(x), i, lhs, rhs))
+            cells = kernels.cell_abs_integral(ctx, x).tolist()
+            worst = max(worst, max(cells) - rhs)
+            rows.extend((n, float(x), i, lhs, rhs)
+                        for i, lhs in enumerate(cells, start=1))
     ok = worst <= tol
     summary = {"worst_slack": worst, "tolerance": tol, "pass": ok}
     return rows, summary, (0 if ok else 2)
@@ -341,6 +351,9 @@ def _run_eq11(config: ExperimentConfig):
         except ValueError:
             raise InvalidConfig(f"big_f_kernel: N must be an integer and X a "
                                 f"number, got {k_n!r} {k_x!r}") from None
+        if k_n > _MAX_ENTRIES:
+            raise InvalidConfig(f"big_f_kernel: N must be <= {_MAX_ENTRIES}, "
+                                f"got {k_n}")
         big_f = fourier.kernel_section(systems.get_system(sys_name), k_n, k_x)
         big_f_name = f"kernel[{sys_name}, n={k_n}, x={k_x:g}]"
     else:
@@ -663,6 +676,9 @@ def main(argv=None) -> int:
         return run(config_from_namespace(ns))
     except OnsLabError as exc:
         print(f"ons-lab: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"ons-lab: error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -37,10 +37,10 @@ table, which only tests read, and so are the coefficient tables
 context, one per function.  Contexts are read-only after construction
 apart from those caches; evaluations are pure.
 
-Step systems with closed-form antiderivatives need no quadrature for the
-kernel integrals over ``u``: ``Q_n(., x)`` is linear between breakpoints,
-so the Lemma 3 cell integrals of ``|Q_n|`` are sums over its values at
-breakpoints.
+The Lemma 3 integrals of ``|Q_n(., x)|`` over the n cells of the mesh
+take one pass per ``(context, x)``: for a step system with closed-form
+antiderivatives, sums over the values of ``Q_n(., x)``, linear between
+breakpoints; for any other, one :func:`integrate_abs` call.
 """
 
 from __future__ import annotations
@@ -54,9 +54,8 @@ import numpy as np
 
 from .errors import InvalidConfig
 from .quadrature import (
-    IntegrationResult,
     QuadratureRule,
-    _inner_breakpoints,
+    _sample_blocks,
     cumulative_integral,
     integrate,
     integrate_abs,
@@ -274,37 +273,33 @@ def boundedness_functional_naive(ctx: KernelContext, x: float) -> float:
     return total / ctx.n
 
 
-def cell_abs_integral(ctx: KernelContext, i: int, x: float) -> IntegrationResult:
-    """Integral of the absolute antiderivative kernel over cell i of n.
+def cell_abs_integral(ctx: KernelContext, x: float) -> np.ndarray:
+    """Integrals of the absolute antiderivative kernel at x over the n cells
+    ``[(i - 1)/n, i/n]``, as an array whose entry i - 1 is cell i's.
 
     The kernel takes only the rows where ``phi_k(x) != 0``.  For a step
     system with closed-form ``g_k`` it is linear between the rule's
-    breakpoints, so its values at the cell's edges and inner breakpoints
-    give the integral exactly up to rounding (:func:`_abs_piecewise_linear`);
-    the result's ``est_error`` is 0 and ``panels_used`` counts the pieces.
+    breakpoints, so its values at the cell edges and the breakpoints, taken
+    in one blocked pass, give each piece exactly up to rounding
+    (:func:`_abs_piecewise_linear`), and a cell sums its pieces.
 
-    Otherwise the cell ``[(i - 1)/n, i/n]`` is integrated by
-    :func:`integrate_abs` with the rule's breakpoints but cell-sized panels:
-    ``max(2, ceil(rule.panels / n))`` per breakpoint segment, the share of
-    the panels for [0, 1] that falls on one cell (:func:`_cell_rule`).  The
-    kernel's zeros in the cell are found in one sampled scan and refined
-    together.
+    Otherwise one :func:`integrate_abs` pass covers every cell, with the
+    rule's breakpoints but cell-sized panels: ``max(2, ceil(rule.panels /
+    n))`` per breakpoint segment, the share of the panels for [0, 1] that
+    falls on one cell (:func:`_cell_rule`).
     """
-    if not 1 <= i <= ctx.n:
-        raise ValueError("cell index must satisfy 1 <= i <= n")
-    lo, hi = (i - 1) / ctx.n, i / ctx.n
     kernel = _section(ctx, x)
-    if ctx.system.exact_steps:
-        edges = np.concatenate(([lo], _inner_breakpoints(ctx.rule, lo, hi),
-                                [hi]))
-        return IntegrationResult(_abs_piecewise_linear(edges, kernel(edges)),
-                                 0.0, len(edges) - 1)
-    return integrate_abs(kernel, _cell_rule(ctx.rule, 1.0 / ctx.n), lo, hi)
+    grid = np.arange(ctx.n + 1) / ctx.n
+    if not ctx.system.exact_steps:
+        return integrate_abs(kernel, _cell_rule(ctx.rule, 1.0 / ctx.n), grid)
+    edges = np.union1d(grid, ctx.rule.breakpoints)
+    pieces = _abs_piecewise_linear(edges, _sample_blocks(kernel, edges))
+    return np.add.reduceat(pieces, np.searchsorted(edges, grid[:-1]))
 
 
-def _abs_piecewise_linear(edges: np.ndarray, q: np.ndarray) -> float:
-    """``int |Q|`` over ``[edges[0], edges[-1]]`` for Q linear between the
-    edges, with values q at them.
+def _abs_piecewise_linear(edges: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``int |Q|`` over each piece ``[edges[j], edges[j + 1]]`` for Q linear
+    between the edges, with values q at them.
 
     A piece of width h from a to b gives ``(|a| + |b|) h / 2`` when a and b
     share a sign, and ``(a^2 + b^2) h / (2 |a - b|)`` when the zero between
@@ -314,7 +309,7 @@ def _abs_piecewise_linear(edges: np.ndarray, q: np.ndarray) -> float:
     heights = np.abs(a) + np.abs(b)         # equals |a - b| where signs differ
     cross = np.sign(a) * np.sign(b) < 0.0
     heights[cross] = (a[cross] ** 2 + b[cross] ** 2) / heights[cross]
-    return math.fsum(heights * np.diff(edges) / 2.0)
+    return heights * np.diff(edges) / 2.0
 
 
 def dirichlet_mean(ctx: KernelContext, x: float) -> float:

@@ -2,11 +2,11 @@
 
 The machinery is deliberately plain: fixed-order Gauss-Legendre panels
 laid uniformly between declared breakpoints.  :func:`integrate` returns a
-value with an error estimate from re-running at twice the panel count;
-:func:`cumulative_integral` gives prefix integrals on a grid from the
-fine pass alone, with no estimate, as the prefix sums of the per-cell
-values of :func:`cell_integrals`; :func:`integrate_abs` first splits
-``|f|`` at the zeros of ``f``.  Not every integral goes through these.
+value with an error estimate from re-running at twice the panel count.
+The grid functions take the fine pass alone, with no estimate:
+:func:`cell_integrals` per cell, :func:`cumulative_integral` as its prefix
+sums, and :func:`integrate_abs` per cell of ``|f|``, split at the zeros
+of ``f``.  Not every integral goes through these.
 The tables ``<f, phi_k>`` of smooth systems and ``<f', g_k>`` of every
 system are sums over :func:`cell_mesh` nodes: one FFT per breakpoint
 segment for the cosine family (its ``mesh_coefficients`` hook), a dense
@@ -14,8 +14,8 @@ product in blocks of nodes otherwise.  Gram matrices of smooth systems
 are one dense product.  Step systems' coefficients weigh per-cell
 integrals of ``f`` by element values at cell midpoints, and their Gram
 rows and Lemma 3 cell integrals are exact sums over antiderivative values
-at breakpoints.  The boundedness sweeps read closed-form antiderivatives
-wherever a system has them.
+at breakpoints.  The boundedness sweeps, and the prefixes of the Theorem 3
+pairing, read closed-form antiderivatives wherever a system has them.
 Piecewise-constant integrands whose jumps are declared as breakpoints are
 integrated exactly up to rounding; smooth oscillatory integrands converge
 spectrally once the panel width resolves the oscillation.
@@ -40,10 +40,10 @@ import numpy as np
 
 from .errors import InvalidInterval, NonFiniteIntegrand
 
-# Nodes per integrand call in integrate, cell_integrals and the scan of
-# integrate_abs.  Kernel integrands build an (n, nodes) table, which for a
-# whole sign-system mesh (2^16 breakpoints) takes gigabytes; blocks that fit
-# in cache also measured fastest.
+# Nodes per integrand call in every sampling pass, integrate_abs's scan and
+# zero refinement included.  Kernel integrands build an (n, nodes) table,
+# which for a whole sign-system mesh (2^16 breakpoints) takes gigabytes;
+# blocks that fit in cache also measured fastest.
 _SAMPLE_BLOCK = 4096
 
 # integrate_abs scans for sign changes on this many uniform intervals of
@@ -149,6 +149,15 @@ def cell_mesh(grid: Sequence[float], rule: QuadratureRule, panels: int):
         empty cell has the start of the next one, and ``reduceat`` gives it
         a value that the caller must discard.
     """
+    pts, edges = _cell_edges(grid, rule)
+    nodes, weights = _panel_points(edges, rule.order, panels)
+    starts = np.searchsorted(edges, pts[:-1]) * (panels * rule.order)
+    return nodes, weights, starts
+
+
+def _cell_edges(grid: Sequence[float], rule: QuadratureRule):
+    """The grid as a checked float array, and the distinct edges of its cells
+    split at the breakpoints of ``rule`` between its ends, ascending."""
     pts = np.asarray(grid, dtype=float)
     if pts.ndim != 1 or len(pts) < 2:
         raise InvalidInterval("grid must be a 1-d sequence of at least two points")
@@ -158,10 +167,7 @@ def cell_mesh(grid: Sequence[float], rule: QuadratureRule, panels: int):
         raise InvalidInterval("grid must be sorted ascending")
     edges = np.sort(np.concatenate((pts, _inner_breakpoints(rule, pts[0],
                                                             pts[-1]))))
-    edges = edges[np.concatenate(([True], edges[1:] > edges[:-1]))]
-    nodes, weights = _panel_points(edges, rule.order, panels)
-    starts = np.searchsorted(edges, pts[:-1]) * (panels * rule.order)
-    return nodes, weights, starts
+    return pts, edges[np.concatenate(([True], edges[1:] > edges[:-1]))]
 
 
 def _inner_breakpoints(rule: QuadratureRule, a: float, b: float) -> np.ndarray:
@@ -240,11 +246,17 @@ def cell_integrals(f: Callable, grid: Sequence[float],
     pts = np.asarray(grid, dtype=float)
     if pts.ndim != 1 or len(pts) == 0:
         raise InvalidInterval("grid must be a non-empty 1-d sequence")
-    nodes, weights, starts = cell_mesh(np.concatenate([[0.0], pts]), rule,
-                                       2 * rule.panels)
+    return _fine_cells(f, np.concatenate([[0.0], pts]), rule)
+
+
+def _fine_cells(f: Callable, grid: Sequence[float],
+                rule: QuadratureRule) -> np.ndarray:
+    """Fine-pass integrals of ``f`` over the cells between consecutive grid
+    points, with the row contract of :func:`cell_integrals`."""
+    nodes, weights, starts = cell_mesh(grid, rule, 2 * rule.panels)
     vals = _sample_blocks(f, nodes)
     vals *= weights
-    cells = np.zeros(vals.shape[:-1] + pts.shape)
+    cells = np.zeros(vals.shape[:-1] + starts.shape)
     filled = np.diff(starts, append=len(nodes)) > 0
     if np.any(filled):
         cells[..., filled] = np.add.reduceat(vals, starts[filled], axis=-1)
@@ -259,36 +271,28 @@ def cumulative_integral(f: Callable, grid: Sequence[float],
 
 
 def integrate_abs(f: Callable, rule: QuadratureRule,
-                  a: float = 0.0, b: float = 1.0) -> IntegrationResult:
-    """Integrate ``|f|`` over ``[a, b]`` inside [0, 1], split at f's zeros.
+                  grid: Sequence[float] = (0.0, 1.0)) -> np.ndarray:
+    """Integrals of ``|f|`` over the cells between consecutive points of a
+    sorted grid, split at f's zeros; an empty cell gives 0.
 
-    One pass samples ``f``, in blocks of nodes, on a uniform scan of
-    ``_SCAN_POINTS`` intervals in every breakpoint segment of ``[a, b]``.
-    Each sign change brackets a zero.  The bracket endpoints are evaluated
-    again, together, and the brackets that still straddle zero are all
-    bisected at once, one call of ``f`` per step, to about 1e-15; a bracket
-    that no longer straddles zero gives its midpoint.  These points, and
-    interior scan points where ``f`` is exactly zero, join the breakpoints
-    of ``[a, b]``, so that every panel of the final :func:`integrate` pass
-    sees a single-signed smooth integrand.  Tight zero pairs below the scan
-    resolution degrade the estimate gracefully rather than failing.
+    One scan samples ``f``, in blocks of nodes, on ``_SCAN_POINTS`` uniform
+    intervals of every piece between the grid points and the rule's
+    breakpoints; each sign change brackets a zero, and all brackets are
+    refined together (:func:`_refine_zeros`).  The zeros, and scan points
+    where ``f`` is exactly zero, join the breakpoints of one fine pass
+    (the panels of :func:`cell_integrals`), so that every panel sees a
+    single-signed integrand.  Zero pairs closer than the scan resolves
+    degrade the values gracefully rather than failing.
     """
-    if a > b:
-        raise InvalidInterval(f"empty interval: a={a} > b={b}")
-    if a < 0.0 or b > 1.0:
-        raise InvalidInterval(f"interval [{a}, {b}] leaves [0, 1]")
-    if a == b:
-        return IntegrationResult(0.0, 0.0, 1)
-    inner = _inner_breakpoints(rule, a, b)
-    edges = np.concatenate(([a], inner, [b]))
+    pts, edges = _cell_edges(grid, rule)
     ts = np.linspace(edges[:-1], edges[1:], _SCAN_POINTS + 1, axis=1)
     signs = np.sign(_sample_blocks(f, ts.ravel()).reshape(ts.shape))
     change = signs[:, :-1] * signs[:, 1:] < 0
-    split = np.concatenate((inner, ts[:, 1:-1][signs[:, 1:-1] == 0],
+    zeros = np.concatenate((ts[:, 1:-1][signs[:, 1:-1] == 0],
                             _refine_zeros(f, ts[:, :-1][change],
                                           ts[:, 1:][change])))
-    refined = dataclasses.replace(rule, breakpoints=()).with_breakpoints(split)
-    return integrate(lambda u: np.abs(f(u)), refined, a, b)
+    return _fine_cells(lambda u: np.abs(f(u)), pts,
+                       rule.with_breakpoints(zeros))
 
 
 def _refine_zeros(f: Callable, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -297,14 +301,14 @@ def _refine_zeros(f: Callable, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     The endpoints are evaluated again first: a value taken in another call
     can differ in the last ulp near a zero.  An endpoint where ``f`` is zero
     is the zero, and a bracket whose endpoints no longer differ in sign
-    gives its midpoint.  The rest are bisected together, one call of ``f``
-    per step: a bracket ends with the step where ``f`` is zero, or once no
-    wider than 1e-15 plus four ulps of its position, when its midpoint is
-    the zero.
+    gives its midpoint.  The rest are bisected together, one blocked pass
+    of ``f`` per step: a bracket ends with the step where ``f`` is zero, or
+    once no wider than 1e-15 plus four ulps of its position, when its
+    midpoint is the zero.
     """
     if len(lo) == 0:
         return lo
-    ends = _sample(f, np.concatenate((lo, hi)))
+    ends = _sample_blocks(f, np.concatenate((lo, hi)))
     flo, fhi = ends[:len(lo)], ends[len(lo):]
     out = np.where(flo == 0.0, lo, np.where(fhi == 0.0, hi, 0.5 * (lo + hi)))
     act = np.flatnonzero((flo != 0.0) & (fhi != 0.0)
@@ -312,7 +316,7 @@ def _refine_zeros(f: Callable, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     lo, hi, hi_pos = lo[act], hi[act], fhi[act] > 0.0
     while len(act):
         mid = 0.5 * (lo + hi)
-        fm = _sample(f, mid)
+        fm = _sample_blocks(f, mid)
         move_hi = (fm > 0.0) == hi_pos
         lo, hi = np.where(move_hi, lo, mid), np.where(move_hi, mid, hi)
         done = (fm == 0.0) | (hi - lo <= _ZERO_XTOL + _ZERO_RTOL * np.abs(hi))

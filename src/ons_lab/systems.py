@@ -69,7 +69,7 @@ class SystemHandle:
         Closed-form ``w -> P`` for an ``(X, n)`` block of weights, with
         ``P[j, i - 1] = sum_k w[j, k - 1] antideriv2(k, i / n)``; linear in
         w, and row j of P depends on row j of w alone, bit for bit.  A
-        handle stripped of ``antideriv2`` must drop it too.
+        handle without ``antideriv2`` must drop it too (checked).
     mesh_coefficients : callable or None
         Closed-form sums over one breakpoint segment ``[lo, hi]`` of a
         quadrature mesh, ``(a, lo, hi, n) -> (C, G)`` or None.  ``a[r, p,
@@ -79,7 +79,7 @@ class SystemHandle:
         1]; then ``C[r, k - 1] = sum a[r] eval(k, .)`` and ``G[r, k - 1] =
         sum a[r] antideriv(k, .)`` over the segment's nodes, k = 1..n.  None
         declines the segment, which then takes a dense product.  A handle
-        stripped of ``antideriv`` must drop it too.
+        without ``antideriv`` must drop it too (checked).
     """
 
     name: str
@@ -90,6 +90,13 @@ class SystemHandle:
     period: Callable[[int], tuple] = lambda k: (1, ())
     mesh_prefix: Optional[Callable] = None
     mesh_coefficients: Optional[Callable] = None
+
+    def __post_init__(self):
+        # a hook would otherwise answer for a closed form the handle lacks
+        for hook, closed in (("mesh_prefix", "antideriv2"),
+                             ("mesh_coefficients", "antideriv")):
+            if getattr(self, hook) is not None and getattr(self, closed) is None:
+                raise ValueError(f"system {self.name!r}: {hook} needs {closed}")
 
     @property
     def exact_steps(self) -> bool:

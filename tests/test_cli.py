@@ -102,12 +102,34 @@ class TestExitCodes:
         (["lemma3", "--n-values", "0"], "n_values: must be >= 1, got 0"),
         (["theorem3-extremal", "--n-values", "0"],
          "n_values: must be >= 1, got 0"),
-    ], ids=["lemma4", "theorem4-moments", "lemma3", "theorem3-extremal"])
+        # numpy refuses an array this large with a ValueError of its own
+        (["mn-sweep", "--n-max", "100000000000000000000"],
+         "n_max: must be <= 1152921504606846975, got 100000000000000000000"),
+        (["eq11", "--big-f-kernel", "cosine", "100000000000000000000", "0.3"],
+         "big_f_kernel: N must be <= 1152921504606846975, got "
+         "100000000000000000000"),
+    ], ids=["lemma4", "theorem4-moments", "lemma3", "theorem3-extremal",
+            "mn-sweep-huge", "eq11-huge"])
     def test_size_errors_name_the_flag_given(self, args, message, tmp_path,
                                              capsys):
         code, path = run_cli(args, tmp_path)
         assert code == 1 and not path.exists()
         assert capsys.readouterr().err == f"ons-lab: error: {message}\n"
+
+    def test_running_out_of_memory_is_one_line(self, tmp_path, capsys,
+                                                monkeypatch):
+        # no test asks numpy for an allocation that fails: the sweep
+        # raises as numpy would
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+        monkeypatch.setattr(ons_lab.analysis, "boundedness_experiment",
+                            no_memory)
+        code, path = run_cli(["mn-sweep"], tmp_path)
+        assert code == 1 and not path.exists()
+        assert capsys.readouterr().err == (
+            "ons-lab: error: out of memory: Unable to allocate 74.5 GiB for "
+            "an array\n")
 
     @pytest.mark.parametrize("args,name", [
         (["theorem3-extremal", "--t", "2"], "t"),
@@ -583,7 +605,8 @@ class TestWorkDone:
         # a system without closed forms takes the rung-2 rows of its points'
         # live indices once per n, shared by every point
         stripped = replace(ons_lab.systems.cosine_system(), antideriv=None,
-                           antideriv2=None, mesh_prefix=None)
+                           antideriv2=None, mesh_prefix=None,
+                           mesh_coefficients=None)
         monkeypatch.setitem(ons_lab.systems._SYSTEM_BUILDERS, "cosine",
                             lambda: stripped)
         counts, original = Counter(), ons_lab.kernels._rows
@@ -638,6 +661,43 @@ class TestWorkDone:
             monkeypatch.undo()
             assert code == 0
             assert counts == {"cell_mesh": 2}, xs
+
+    @pytest.mark.parametrize("name", [
+        "cosine", "reflect(cosine)", "reflect2(cosine)", "haar",
+        "reflect(haar)", "reflect2(haar)", "rademacher",
+        "reflect(rademacher)", "reflect2(rademacher)"])
+    def test_lemma3_integrates_once_per_point(self, name, tmp_path,
+                                              monkeypatch):
+        # one integrate_abs pass per (n, x) covers all n cells of a smooth
+        # system; a step system sums exact pieces and takes none.  The
+        # sign systems stop at n = 16 (element 17 is past the jump cap)
+        argv = ["lemma3", "--system", name]
+        if "rademacher" in name:
+            argv += ["--n-values", "4,16"]
+        counts = Counter()
+        for attr in ("integrate", "integrate_abs"):
+            count_calls(monkeypatch, [ons_lab.quadrature], attr, counts)
+        code, _ = run_cli(argv, tmp_path)
+        defaults = REGISTRY["lemma3"].flags
+        points = len(defaults["x"]) * len(defaults["n_values"])
+        assert code == 0
+        assert counts == ({"integrate_abs": points} if "cosine" in name
+                          else {})
+
+    @pytest.mark.parametrize("name", [
+        "cosine", "reflect(cosine)", "reflect2(cosine)", "haar",
+        "reflect(haar)", "reflect2(haar)", "rademacher",
+        "reflect(rademacher)", "reflect2(rademacher)"])
+    def test_theorem3_pairs_on_the_mesh_prefixes(self, name, tmp_path,
+                                                 monkeypatch):
+        # the prefixes of Q_n(., t) on the mesh come from the system's
+        # mesh_prefix hook, not from a cumulative pass over sampled kernels
+        counts = Counter()
+        count_calls(monkeypatch, [ons_lab.quadrature], "cumulative_integral",
+                    counts)
+        code, _ = run_cli(["theorem3-extremal", "--system", name], tmp_path)
+        assert code == 0
+        assert counts["cumulative_integral"] == 0
 
     @pytest.mark.parametrize("name", ["cosine", "reflect(cosine)",
                                       "reflect2(cosine)"])

@@ -368,6 +368,28 @@ class TestBroadcastingContract:
                               np.asarray(table, dtype=float).view(np.int64))
 
 
+class TestHookContract:
+    # a mesh hook stands for a closed form: a handle without the closed form
+    # would otherwise take the hook's values in place of the numeric path
+    @pytest.mark.parametrize("name", tuple(dict.fromkeys(
+        CATALOG + STEP_CATALOG)))
+    def test_stripping_a_closed_form_needs_its_hook_dropped(self, name):
+        system = get_system(name)
+        assert system.mesh_prefix is not None
+        with pytest.raises(ValueError, match="mesh_prefix needs antideriv2"):
+            replace(system, antideriv2=None)
+        with pytest.raises(ValueError, match="mesh_prefix needs antideriv2"):
+            replace(system, antideriv=None, antideriv2=None)
+        no_prefix = {"antideriv": None, "antideriv2": None,
+                     "mesh_prefix": None}
+        if system.mesh_coefficients is not None:
+            with pytest.raises(ValueError,
+                               match="mesh_coefficients needs antideriv"):
+                replace(system, **no_prefix)
+        replace(system, antideriv2=None, mesh_prefix=None)
+        replace(system, **no_prefix, mesh_coefficients=None)
+
+
 def _dyadic_points():
     """Every double in [0, 1] is dyadic; the grid draws hit breakpoints."""
     grid = st.builds(lambda j, e: Fraction(j, 1 << e),
